@@ -80,7 +80,7 @@ from .single_copy import (
 )
 # The two-level constructor is re-exported under a distinct name so the
 # qsverify.homogeneous submodule stays importable as an attribute.
-from .spectrum import Spectrum, from_eigenvalues, gaps
+from .spectrum import Spectrum, from_eigenvalues
 from .spectrum import homogeneous as homogeneous_spectrum
 
 __all__ = [
@@ -110,7 +110,6 @@ __all__ = [
     "fidelity_lb_nu_half",
     "fidelity_window",
     "from_eigenvalues",
-    "gaps",
     "gme_certification",
     "h_of",
     "h_p",

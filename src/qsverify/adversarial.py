@@ -46,8 +46,7 @@ def composition_count(n: int, d: int) -> int:
     return math.comb(n + d, d - 1)
 
 
-def compositions(n: int, d: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
-    """Yield every composition of n+1 into d parts, ascending lexicographic."""
+def _check_size(n: int, d: int, cap: int) -> None:
     if n < 1:
         raise OutOfRange("n must be >= 1")
     if d < 2:
@@ -55,28 +54,32 @@ def compositions(n: int, d: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, 
     total = composition_count(n, d)
     if total > cap:
         raise SizeLimit(f"{total} compositions exceed the cap {cap}")
-    yield from _gen(n + 1, d)
 
 
-def _gen(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _gen(total - first, parts - 1):
-            yield (first, *rest)
+def compositions(n: int, d: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
+    """Yield every composition of n+1 into d parts, ascending lexicographic."""
+    _check_size(n, d, cap)
+    yield from map(tuple, _composition_matrix(n + 1, d).tolist())
 
 
 def _composition_matrix(total: int, parts: int) -> np.ndarray:
-    """All compositions of ``total`` into ``parts`` parts as an int array (lex order)."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _composition_matrix(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+    """All compositions of ``total`` into ``parts`` parts as an int array (lex order).
+
+    Built column by column in place: a prefix row with remainder r expands
+    into r+1 rows whose next entry runs 0..r.
+    """
+    out = np.empty((composition_count(total - 1, parts), parts), dtype=np.int64)
+    rem = np.array([total], dtype=np.int64)
+    for j in range(parts - 1):
+        counts = rem + 1
+        rows = int(counts.sum())
+        for c in range(j):
+            out[:rows, c] = np.repeat(out[: rem.size, c], counts)
+        np.subtract(np.arange(rows), np.repeat(np.cumsum(counts) - counts, counts),
+                    out=out[:rows, j])
+        rem = np.repeat(rem, counts) - out[:rows, j]
+    out[:, -1] = rem
+    return out
 
 
 def _points(kmat: np.ndarray, lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +183,7 @@ class Boundary:
 
 def boundary(n: int, s: Spectrum, cap: int = DEFAULT_CAP) -> Boundary:
     """Enumerate all label multisets and build the lower hull."""
-    if n < 1:
-        raise OutOfRange("n must be >= 1")
-    total = composition_count(n, s.d)
-    if total > cap:
-        raise SizeLimit(f"{total} compositions exceed the cap {cap}")
+    _check_size(n, s.d, cap)
     kmat = _composition_matrix(n + 1, s.d)
     p, f = _points(kmat, np.array(s.distinct), n)
     dc = delta_c(n, s)

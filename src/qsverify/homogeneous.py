@@ -51,15 +51,6 @@ def eta_k(n: int, lam: float, k: int) -> float:
     return ((n + 1 - k) * lam**k + k * lam ** (k - 1)) / (n + 1)
 
 
-def zeta_k(n: int, lam: float, k: int) -> float:
-    """Joint (pass and unit-label-on-spare) weight of the same vertex."""
-    if k == 0:
-        return 1.0
-    if lam == 0.0:
-        return 0.0
-    return (n + 1 - k) * lam**k / (n + 1)
-
-
 def zeta_piece(n: int, delta: float, lam: float, k: int) -> float:
     """Linear piece through vertices k and k+1, evaluated at pass level delta.
 
@@ -132,29 +123,16 @@ def min_tests_homo(epsilon: float, delta: float, lam: float) -> int:
     ceiling of min(n_tilde at k-, n_tilde at k+) with (k-, k+) the integer
     bracket of log_lam(delta).
     """
-    n, _ = _min_tests_homo_detail(epsilon, delta, lam)
-    return n
-
-
-def min_tests_homo_detail(epsilon: float, delta: float, lam: float) -> tuple[int, str]:
-    """Exact count plus a note on which branch produced it."""
-    return _min_tests_homo_detail(epsilon, delta, lam)
-
-
-def _min_tests_homo_detail(epsilon, delta, lam):
     if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
         raise OutOfRange("epsilon and delta must lie strictly in (0, 1)")
     if not 0.0 <= lam < MAX_LAM:
         raise OutOfRange(f"lambda {lam!r} outside [0, 1)")
     if lam == 0.0:
-        return max(1, ceil_int((1.0 - delta) / (epsilon * delta))), "singular"
+        return max(1, ceil_int((1.0 - delta) / (epsilon * delta)))
     k_minus, k_plus = log_bracket(delta, lam)
     lo = n_tilde(epsilon, delta, lam, k_minus)
     hi = n_tilde(epsilon, delta, lam, k_plus)
-    # Branch selection: the k+ piece wins iff delta <= lam^(k+)/(F + lam*eps).
-    fid = 1.0 - epsilon
-    branch = "k+" if delta <= lam**k_plus / (fid + lam * epsilon) else "k-"
-    return max(1, ceil_int(min(lo, hi))), branch
+    return max(1, ceil_int(min(lo, hi)))
 
 
 @dataclass(frozen=True)

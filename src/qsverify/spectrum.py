@@ -10,8 +10,10 @@ the raw one.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
+from numbers import Real
 
 from .errors import DegenerateTop, MissingUnitEigenvalue, OutOfRange
 
@@ -56,14 +58,23 @@ class Spectrum:
         return self.distinct[-1] == 0.0
 
 
+def _finite(value, field: str) -> float:
+    """``value`` as a float; anything but a finite real number is rejected."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise OutOfRange(f"{field} {value!r} is not a finite number")
+    return float(value)
+
+
 def from_eigenvalues(values: Iterable[float]) -> Spectrum:
     """Build a :class:`Spectrum` from raw eigenvalues.
 
     Values are sorted descending, snapped to 1 within ``MERGE_TOL``, and
-    validated: the top eigenvalue must be 1 and nondegenerate, and every
-    value must lie in [0, 1].
+    validated: every value must be a finite number in [0, 1], and the top
+    eigenvalue must be 1 and nondegenerate.
     """
-    vals = [float(v) for v in values]
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise OutOfRange(f"eigenvalues {values!r} is not a list of numbers")
+    vals = [_finite(v, "eigenvalue") for v in values]
     if not vals:
         raise OutOfRange("eigenvalue list must be nonempty")
     for v in vals:
@@ -88,16 +99,11 @@ def from_eigenvalues(values: Iterable[float]) -> Spectrum:
 
 def homogeneous(lam: float) -> Spectrum:
     """Two-level spectrum {1, lam}: every non-unit eigenvalue equal."""
-    lam = float(lam)
+    lam = _finite(lam, "homogeneous lambda")
     if lam < -MERGE_TOL or lam >= 1.0 - MERGE_TOL:
         raise OutOfRange(f"homogeneous eigenvalue {lam!r} outside [0, 1)")
     lam = max(lam, 0.0)
     return Spectrum(eigenvalues=(1.0, lam), distinct=(1.0, lam))
-
-
-def gaps(s: Spectrum) -> tuple[float, float, float]:
-    """Return (beta, tau, nu) of a spectrum."""
-    return s.beta, s.tau, s.nu
 
 
 def from_json_dict(obj: dict) -> Spectrum:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qsverify import adversarial as adv, errors, spectrum
@@ -41,6 +42,21 @@ def test_compositions_lexicographic_and_complete():
 def test_composition_cap():
     with pytest.raises(errors.SizeLimit):
         list(adv.compositions(10_000, 4, cap=1000))
+
+
+def test_composition_cap_raised_lazily():
+    gen = adv.compositions(10_000, 4, cap=1000)
+    with pytest.raises(errors.SizeLimit):
+        next(gen)
+
+
+def test_composition_matrix_matches_brute_force():
+    for parts in range(1, 6):
+        for total in range(31):
+            kmat = adv._composition_matrix(total, parts)
+            assert kmat.dtype == np.int64
+            assert kmat.shape == (adv.composition_count(total - 1, parts), parts)
+            assert kmat.tolist() == [list(k) for k in sorted(compositions_brute(total, parts))]
 
 
 # ---------------------------------------------------------------------- points
@@ -259,6 +275,15 @@ def test_min_tests_examples():
     assert adv.min_tests_adv(
         spectrum.homogeneous(0.0), PrecisionTarget(0.25, 0.5)
     ) == 4
+
+
+@pytest.mark.parametrize(
+    "values, eps, expected",
+    [([1.0, 0.5], 0.01, 1307), ([1.0, 0.7, 0.2], 0.05, 236), ([1.0, 0.6, 0.3, 0.1], 0.1, 93)],
+)
+def test_min_tests_baseline_counts(values, eps, expected):
+    s = spectrum.from_eigenvalues(values)
+    assert adv.min_tests_adv(s, PrecisionTarget(eps, eps)) == expected
 
 
 def test_min_tests_matches_scan():

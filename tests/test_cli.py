@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qsverify import cli
 
@@ -197,6 +200,15 @@ def test_sweep_nu_hedging_curves(capsys):
     assert overhead[-1] == pytest.approx(math.e, abs=1e-9)
 
 
+def test_sweep_nu_grid_ends_exactly_at_hi(capsys):
+    # 0.2 + 0.8 * 3 / 3 rounds to 1.0000000000000002 without the clamp
+    code, out, _ = run(capsys, ["sweep", "--param", "nu", "--range", "0.2:1.0:4"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 4
+    assert float(rows[-1][0]) == 1.0
+
+
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, ["sweep", "--param", "lambda", "--range", "oops"])
     assert code == 1
@@ -219,6 +231,56 @@ def test_plan_bad_hedge_flag(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "-0.5"])
+def test_plan_hedge_p_outside_range_rejected(capsys, monkeypatch, p):
+    code, out, err = run(
+        capsys,
+        ["plan", "--epsilon", "0.2", "--delta", "0.2", "--adversarial",
+         "--hedge", f"p={p}"],
+        stdin='{"homogeneous": {"lambda": 0.5}}',
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (1, "")
+    assert f"p {float(p)!r} outside [0, 1)" in err
+
+
+def _main_quiet(argv, stdin):
+    old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    command_field=st.sampled_from(
+        [(c, f) for c in ("analyze", "plan") for f in ("eigenvalue", "lambda", "epsilon", "delta")]
+        + [("plan", "hedge")]
+    ),
+    position=st.integers(0, 3),
+)
+def test_any_non_finite_field_exits_1(bad, command_field, position):
+    command, field = command_field
+    values = [1.0, 0.6, 0.3]
+    values.insert(position, bad)
+    doc = (
+        {"eigenvalues": values} if field == "eigenvalue"
+        else {"homogeneous": {"lambda": bad if field == "lambda" else 0.5}}
+    )
+    eps = repr(bad) if field == "epsilon" else "0.2"
+    dlt = repr(bad) if field == "delta" else "0.2"
+    argv = [command, f"--epsilon={eps}", f"--delta={dlt}"]
+    if command == "plan":
+        argv += ["--adversarial", "--hedge", f"p={bad!r}" if field == "hedge" else "none"]
+    code, out, err = _main_quiet(argv, json.dumps(doc))
+    assert (code, out) == (1, "")
+    assert err.startswith("input error")
 
 
 def test_single_copy_feasible(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,7 @@ def test_sorting_and_dedup():
     s = spectrum.from_eigenvalues([1.0, 0.5, 0.5, 0.2])
     assert s.eigenvalues == (1.0, 0.5, 0.5, 0.2)
     assert s.distinct == (1.0, 0.5, 0.2)
-    assert spectrum.gaps(s) == (0.5, 0.2, 0.5)
+    assert (s.beta, s.tau, s.nu) == (0.5, 0.2, 0.5)
 
 
 def test_unsorted_input_is_sorted():
@@ -50,7 +52,7 @@ def test_near_duplicates_merge():
 def test_homogeneous():
     s = spectrum.homogeneous(0.5)
     assert s.distinct == (1.0, 0.5)
-    assert spectrum.gaps(s) == (0.5, 0.5, 0.5)
+    assert (s.beta, s.tau, s.nu) == (0.5, 0.5, 0.5)
     singular = spectrum.homogeneous(0.0)
     assert singular.distinct == (1.0, 0.0)
     assert singular.tau == 0.0 and singular.singular
@@ -58,6 +60,29 @@ def test_homogeneous():
         spectrum.homogeneous(1.0)
     with pytest.raises(errors.OutOfRange):
         spectrum.homogeneous(-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rejected(bad):
+    # a NaN must not be dropped by the sort/merge and analysed as [1, 0.2]
+    with pytest.raises(errors.OutOfRange, match="eigenvalue"):
+        spectrum.from_eigenvalues([1.0, bad, 0.2])
+    with pytest.raises(errors.OutOfRange, match="lambda"):
+        spectrum.homogeneous(bad)
+    with pytest.raises(errors.OutOfRange, match="lambda"):
+        spectrum.from_json_dict({"homogeneous": {"lambda": bad}})
+
+
+@pytest.mark.parametrize("bad", ["1,0.5", 0.5, None, [1.0, "0.5"], [1.0, None], [1.0, True]])
+def test_ill_typed_eigenvalues_rejected(bad):
+    with pytest.raises(errors.OutOfRange, match="eigenvalue"):
+        spectrum.from_json_dict({"eigenvalues": bad})
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, [0.5]])
+def test_ill_typed_lambda_rejected(bad):
+    with pytest.raises(errors.OutOfRange, match="lambda"):
+        spectrum.homogeneous(bad)
 
 
 def test_json_forms():
