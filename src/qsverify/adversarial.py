@@ -59,7 +59,10 @@ def _check_size(n: int, d: int, cap: int) -> None:
 def compositions(n: int, d: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
     """Yield every composition of n+1 into d parts, ascending lexicographic."""
     _check_size(n, d, cap)
-    yield from map(tuple, _composition_matrix(n + 1, d).tolist())
+    kmat = _composition_matrix(n + 1, d)
+    # convert a slice at a time so no second full-size copy is held
+    for start in range(0, len(kmat), 4096):
+        yield from map(tuple, kmat[start:start + 4096].tolist())
 
 
 def _composition_matrix(total: int, parts: int) -> np.ndarray:

@@ -249,7 +249,7 @@ def _hedge_choice(flag: str, s: spectrum.Spectrum, warnings: list[str]):
 def cmd_sweep(args) -> int:
     lo, hi, num = _parse_range(args.range)
     writer = csv.writer(sys.stdout)
-    grid = [min(hi, lo + (hi - lo) * i / max(num - 1, 1)) for i in range(num)]
+    grid = [lo + (hi - lo) * i / (num - 1) if num > 1 else lo for i in range(num)]
 
     if args.param == "lambda":
         t = PrecisionTarget(args.epsilon, args.delta)

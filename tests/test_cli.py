@@ -200,15 +200,6 @@ def test_sweep_nu_hedging_curves(capsys):
     assert overhead[-1] == pytest.approx(math.e, abs=1e-9)
 
 
-def test_sweep_nu_grid_ends_exactly_at_hi(capsys):
-    # 0.2 + 0.8 * 3 / 3 rounds to 1.0000000000000002 without the clamp
-    code, out, _ = run(capsys, ["sweep", "--param", "nu", "--range", "0.2:1.0:4"])
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert len(rows) == 4
-    assert float(rows[-1][0]) == 1.0
-
-
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, ["sweep", "--param", "lambda", "--range", "oops"])
     assert code == 1
