@@ -14,6 +14,18 @@ with the spare copy carrying the unit eigenvalue.  The achievable set is the
 convex hull of these points, so the worst case at any pass level is read off
 the lower boundary of that hull, built here with a monotone chain after a
 Pareto prefilter.
+
+Only the multisets supported on the labels {1, beta, tau} are enumerated,
+C(N+3, 2) of them whatever D is, and the hull is unchanged.  Proof: fix the
+labels of every copy but one, c, which carries a middle label
+lam = a*beta + (1-a)*tau with 0 < a < 1.  Each term of p holds lam_c to the
+power 1 (c is tested) or 0 (c is the spare), so p is affine in lam_c; f sums
+only over spares with the unit label, which c never is, so f is affine in
+lam_c as well (this holds with the convention 0^0 = 1 when tau = 0).  Hence
+the point with c at lam is a*(the point with c at beta) + (1-a)*(the point
+with c at tau).  By induction on the number of middle labels, every point is
+a convex combination of points on {1, beta, tau}; both point sets span the
+same hull, so zeta, eta and every count are the same.
 """
 
 from __future__ import annotations
@@ -25,13 +37,13 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import ceil_int
-from .bounds import tests_bounds_nonsingular
+from .bounds import tests_bounds_general, tests_bounds_nonsingular
 from .errors import DivByZeroGuard, InvalidParams, NumericalRange, OutOfRange, SizeLimit
 from .nonadversarial import PrecisionTarget
 from .spectrum import Spectrum
 
-#: Default cap on the number of label multisets enumerated exactly.
+#: Default cap on the label multisets enumerated exactly: C(N+3, 2) for one
+#: hull (multisets on {1, beta, tau}), C(N+d, d-1) for :func:`compositions`.
 DEFAULT_CAP = 10**7
 
 #: Cross products below this are treated as collinear and the midpoint dropped.
@@ -47,13 +59,14 @@ def composition_count(n: int, d: int) -> int:
 
 
 def _check_size(n: int, d: int, cap: int) -> None:
+    """Refuse an enumeration of C(n + d, d - 1) multisets above ``cap``."""
     if n < 1:
         raise OutOfRange("n must be >= 1")
     if d < 2:
         raise OutOfRange("d must be >= 2")
     total = composition_count(n, d)
     if total > cap:
-        raise SizeLimit(f"{total} compositions exceed the cap {cap}")
+        raise SizeLimit(f"{total} label multisets exceed the cap {cap}")
 
 
 def compositions(n: int, d: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
@@ -83,6 +96,20 @@ def _composition_matrix(total: int, parts: int) -> np.ndarray:
         rem = np.repeat(rem, counts) - out[:rows, j]
     out[:, -1] = rem
     return out
+
+
+def _support_matrix(n: int, d: int) -> np.ndarray:
+    """Multisets of n+1 labels on {1, beta, tau}, as rows over all d labels.
+
+    The middle columns stay zero, so :func:`_points` evaluates each row
+    exactly as it would within the full enumeration.
+    """
+    kmat = _composition_matrix(n + 1, min(d, 3))
+    if d <= 3:
+        return kmat
+    full = np.zeros((len(kmat), d), dtype=np.int64)
+    full[:, [0, 1, d - 1]] = kmat
+    return full
 
 
 def _points(kmat: np.ndarray, lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,11 +212,15 @@ class Boundary:
 
 
 def boundary(n: int, s: Spectrum, cap: int = DEFAULT_CAP) -> Boundary:
-    """Enumerate all label multisets and build the lower hull."""
-    _check_size(n, s.d, cap)
-    kmat = _composition_matrix(n + 1, s.d)
-    p, f = _points(kmat, np.array(s.distinct), n)
+    """Build the lower hull from the label multisets on {1, beta, tau}."""
+    _check_size(n, min(s.d, 3), cap)
+    p, f = _points(_support_matrix(n, s.d), np.array(s.distinct), n)
     dc = delta_c(n, s)
+    # Points at p <= delta_c sort before every hull candidate, and the Pareto
+    # test below reads only the points after each one, so drop them first.
+    # (1, 1) always stays, since delta_c < 1.
+    above = p > dc
+    p, f = p[above], f[above]
 
     # Pareto prefilter: a lower-hull vertex admits no other point right of it
     # with joint weight at most its own.
@@ -199,12 +230,8 @@ def boundary(n: int, s: Spectrum, cap: int = DEFAULT_CAP) -> Boundary:
     keep_rev = np.empty(rev.shape, dtype=bool)
     keep_rev[0] = True
     keep_rev[1:] = rev[1:] < np.minimum.accumulate(rev)[:-1]
-    keep = keep_rev[::-1]
-
-    pts: list[tuple[float, float]] = [(dc, 0.0)]
-    for pp, ff in zip(p_sorted[keep], f_sorted[keep]):
-        if ff > 0.0 and pp > dc:
-            pts.append((float(pp), float(ff)))
+    keep = keep_rev[::-1] & (f_sorted > 0.0)
+    pts = [(dc, 0.0), *zip(p_sorted[keep].tolist(), f_sorted[keep].tolist())]
 
     hull: list[tuple[float, float]] = []
     for q in pts:
@@ -241,23 +268,44 @@ def fidelity_adv_by_f(n: int, f: float, s: Spectrum, cap: int = DEFAULT_CAP) -> 
 def min_tests_adv(s: Spectrum, t: PrecisionTarget, cap: int = DEFAULT_CAP) -> int:
     """Least N whose boundary reaches joint weight delta*(1-eps) at level delta.
 
-    Monotone in N, so an exponential probe followed by a binary search
-    settles it; the search range is closed by the universal count bound and,
-    for positive-definite spectra, the prefactor bound.
+    Feasibility is monotone in N, so a binary search inside the proven count
+    bracket settles it.  Its lower end is the two-level bound for
+    positive-definite spectra and the singular bound when tau = 0; its upper
+    end is the least of the universal, large-gap (nu >= 1/2) and prefactor
+    (tau > 0) bounds.  Both ends are checked on the hull itself, so the N
+    returned is feasible and N-1 is not, whatever rounding does to the
+    analytic bounds.
     """
     eps, dlt = t.epsilon, t.delta
     target = dlt * (1.0 - eps)
-    ub = max(1, ceil_int((1.0 - dlt) / (s.nu * dlt * eps)))
+    gb = tests_bounds_general(s, t)
+    uppers = [gb.upper, gb.nu_half_upper]
     if s.tau > 0.0:
-        ub = min(ub, tests_bounds_nonsingular(s, t).upper)
-    if composition_count(ub, s.d) > cap:
+        nb = tests_bounds_nonsingular(s, t)
+        lb = nb.lower
+        uppers.append(nb.upper)
+    else:
+        lb = gb.singular_lower
+    ub = min(u for u in uppers if u is not None)
+    rows = composition_count(ub, min(s.d, 3))
+    if rows > cap:
         raise SizeLimit(
-            f"search up to N={ub} needs {composition_count(ub, s.d)} compositions "
-            f"(cap {cap})"
+            f"search up to N={ub} needs {rows} label multisets on "
+            f"{{1, beta, tau}} (cap {cap})"
         )
 
     def feasible(n: int) -> bool:
         return boundary(n, s, cap).zeta(dlt) >= target - FEASIBLE_TOL
+
+    def first_feasible(lo: int, hi: int) -> int:
+        # least n in [lo, hi] with feasible(n), given feasible(hi)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     if not feasible(ub):
         # The analytic bound is mathematically valid; absorb rounding slack.
@@ -268,14 +316,9 @@ def min_tests_adv(s: Spectrum, t: PrecisionTarget, cap: int = DEFAULT_CAP) -> in
         else:
             raise NumericalRange("count bound not feasible; rounding pathology")
 
-    lo, hi = 1, 1
-    while hi < ub and not feasible(hi):
-        lo = hi + 1
-        hi = min(2 * hi, ub)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    lb = min(lb, ub)
+    n = first_feasible(lb, ub)
+    if n == lb > 1 and feasible(lb - 1):
+        # The lower bound overshot by rounding; the hull has the last word.
+        n = first_feasible(1, lb - 1)
+    return n

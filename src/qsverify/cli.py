@@ -272,6 +272,11 @@ def cmd_sweep(args) -> int:
             )
             writer.writerow([f"{lam:.12g}", n_na, n_adv, f"{approx:.12g}"])
     elif args.param == "delta":
+        # checked before any output, like the range
+        if not (0.0 < args.epsilon < 1.0 and 0.0 <= args.lam < homogeneous.MAX_LAM):
+            raise VerificationError(
+                f"epsilon {args.epsilon!r} must lie in (0, 1) and --lam {args.lam!r} in [0, 1)"
+            )
         writer.writerow(
             [
                 "delta",
@@ -338,6 +343,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise VerificationError("range must be a:b:n")
     lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise VerificationError("range bounds must be finite numbers")
     if num < 1 or hi < lo:
         raise VerificationError("range must satisfy a <= b and n >= 1")
     return lo, hi, num
@@ -567,7 +574,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--adversarial", action="store_true")
     p.add_argument("--hedge", default="auto", help="auto | none | p=VALUE")
-    p.add_argument("--cap", type=int, default=adversarial.DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=adversarial.DEFAULT_CAP,
+                   help="most label multisets one exact hull may enumerate: "
+                        "C(N+3, 2) at the search's upper N, whatever the number "
+                        "of distinct eigenvalues (default 10^7); above it, "
+                        "bounds are reported instead")
     add_common(p)
     p.set_defaults(func=cmd_plan)
 

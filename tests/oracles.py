@@ -2,13 +2,20 @@
 
 These deliberately avoid the production code paths: points are evaluated by
 naive term-by-term products, the minimum joint weight by exhaustive
-enumeration of two-point mixtures, and minimum counts by linear scan.
+enumeration of two-point mixtures, and minimum counts by linear scan.  The
+one exception is :func:`boundary_full`, which reuses the production point
+arithmetic on purpose so that it differs from ``adversarial.boundary`` only
+in the multisets it enumerates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from qsverify import adversarial as adv
 
 
 def compositions_brute(total: int, parts: int):
@@ -77,6 +84,57 @@ def min_tests_adv_scan(lams, epsilon, delta, n_max=100000):
         if zeta_two_point_lp(n, delta, lams) >= target - 1e-12:
             return n
     raise AssertionError("scan exhausted")
+
+
+def boundary_full(n, s):
+    """Lower hull from all C(N+d, d-1) label multisets, with no reduction.
+
+    The hull as built before the enumeration was restricted to the labels
+    {1, beta, tau}: same points, Pareto prefilter and monotone chain.
+    """
+    kmat = adv._composition_matrix(n + 1, s.d)
+    p, f = adv._points(kmat, np.array(s.distinct), n)
+    dc = adv.delta_c(n, s)
+    order = np.lexsort((f, p))
+    p_sorted, f_sorted = p[order], f[order]
+    rev = f_sorted[::-1]
+    keep_rev = np.empty(rev.shape, dtype=bool)
+    keep_rev[0] = True
+    keep_rev[1:] = rev[1:] < np.minimum.accumulate(rev)[:-1]
+    keep = keep_rev[::-1]
+    pts = [(dc, 0.0)]
+    for pp, ff in zip(p_sorted[keep], f_sorted[keep]):
+        if ff > 0.0 and pp > dc:
+            pts.append((float(pp), float(ff)))
+    hull = []
+    for q in pts:
+        while len(hull) >= 2 and adv._cross(hull[-2], hull[-1], q) <= adv.COLLINEAR_TOL:
+            hull.pop()
+        hull.append(q)
+    return adv.Boundary(n=n, delta_c=dc, vertices=tuple(hull))
+
+
+def min_tests_adv_doubling(s, t, boundary_fn=boundary_full):
+    """Least N with zeta(N, delta) >= delta*(1-eps), using no analytic bound.
+
+    Doubles N from 1 until the target is met, then bisects: the search the
+    planner ran before it started inside the proven count bracket.
+    """
+    target = t.delta * (1.0 - t.epsilon)
+
+    def feasible(n):
+        return boundary_fn(n, s).zeta(t.delta) >= target - adv.FEASIBLE_TOL
+
+    lo, hi = 1, 1
+    while not feasible(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def num_tests_na_scan(nu, epsilon, delta, n_max=10**7):

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from qsverify import adversarial as adv, errors, spectrum
+from qsverify import adversarial as adv, bounds, errors, spectrum
 from qsverify.nonadversarial import PrecisionTarget, num_tests_na
 from oracles import (
+    boundary_full,
     compositions_brute,
+    min_tests_adv_doubling,
     min_tests_adv_scan,
     point_brute,
     zeta_two_point_lp,
@@ -179,6 +182,39 @@ def test_boundary_three_eigenvalue_small_gap_shapes():
     assert b.vertices[1] == pytest.approx(((1 + 0.7) / 2, 0.7 / 2), rel=1e-12)
 
 
+def test_support_matrix_spans_beta_and_tau_only():
+    for d in (2, 3, 4, 7):
+        kmat = adv._support_matrix(5, d)
+        assert kmat.dtype == np.int64
+        assert kmat.shape == (adv.composition_count(5, min(d, 3)), d)
+        assert (kmat.sum(axis=1) == 6).all()
+        assert not kmat[:, 2:d - 1].any()
+
+
+def test_boundary_matches_full_enumeration():
+    # Multisets on {1, beta, tau} span the hull of all multisets.  Vertices
+    # may differ only where COLLINEAR_TOL picks among near-collinear points.
+    # (22, [1, .24, .18, .15]) is such a case: its vertex lists differ below p = 3e-6.
+    cases = [(22, [1.0, 0.24, 0.18, 0.15])]
+    rng = random.Random(404)
+    for _ in range(400):
+        d = rng.randint(4, 7)
+        vals = sorted((rng.uniform(0.02, 0.97) for _ in range(d - 1)), reverse=True)
+        if rng.random() < 0.3:
+            vals[-1] = 0.0
+        cases.append((rng.randint(1, 20 if d <= 5 else 10), [1.0, *vals]))
+    grid = np.linspace(1e-3, 1.0, 200).tolist()
+    for n, values in cases:
+        s = spectrum.from_eigenvalues(values)
+        got, full = adv.boundary(n, s), boundary_full(n, s)
+        assert got.delta_c == full.delta_c
+        assert [v for v in got.vertices if v[0] >= 1e-4] == [
+            v for v in full.vertices if v[0] >= 1e-4
+        ]
+        assert [got.zeta(x) for x in grid] == [full.zeta(x) for x in grid]
+        assert [got.eta(x) for x in grid] == [full.eta(x) for x in grid]
+
+
 def test_boundary_homogeneous_degenerate_no_extra_vertex():
     # tau == beta: the critical point is the last vertex before liftoff
     b = adv.boundary(3, spectrum.homogeneous(0.4))
@@ -284,6 +320,43 @@ def test_min_tests_examples():
 def test_min_tests_baseline_counts(values, eps, expected):
     s = spectrum.from_eigenvalues(values)
     assert adv.min_tests_adv(s, PrecisionTarget(eps, eps)) == expected
+
+
+def test_min_tests_independent_of_middle_eigenvalues():
+    d8 = spectrum.from_eigenvalues([1, 0.7, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2])
+    assert adv.min_tests_adv(d8, PrecisionTarget(0.05, 0.05)) == 236
+
+
+def test_min_tests_matches_full_enumeration_search():
+    rng = random.Random(505)
+    for _ in range(20):
+        d = rng.randint(4, 7)
+        vals = sorted((rng.uniform(0.05, 0.9) for _ in range(d - 1)), reverse=True)
+        if rng.random() < 0.3:
+            vals[-1] = 0.0
+        s = spectrum.from_eigenvalues([1.0, *vals])
+        t = PrecisionTarget(rng.uniform(0.3, 0.6), rng.uniform(0.3, 0.6))
+        assert adv.min_tests_adv(s, t) == min_tests_adv_doubling(s, t)
+
+
+@pytest.mark.parametrize(
+    "values, bound_fn, field",
+    [
+        ([1.0, 0.7, 0.2], "tests_bounds_nonsingular", "lower"),
+        ([1.0, 0.6, 0.3, 0.0], "tests_bounds_general", "singular_lower"),
+    ],
+)
+def test_min_tests_recovers_from_a_lower_bound_too_high(monkeypatch, values, bound_fn, field):
+    s = spectrum.from_eigenvalues(values)
+    t = PrecisionTarget(0.1, 0.1)
+    true = min_tests_adv_doubling(s, t, adv.boundary)
+    orig = getattr(bounds, bound_fn)
+
+    def overshoot(s_, t_):
+        return dataclasses.replace(orig(s_, t_), **{field: true + 1})
+
+    monkeypatch.setattr(adv, bound_fn, overshoot)
+    assert adv.min_tests_adv(s, t) == true
 
 
 def test_min_tests_matches_scan():

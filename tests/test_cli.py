@@ -106,6 +106,23 @@ def test_plan_cap_warns_but_succeeds(capsys, monkeypatch):
     assert any("exact count skipped" in w for w in doc["warnings"])
 
 
+def test_plan_exact_for_eight_eigenvalues_under_default_cap(capsys, monkeypatch):
+    # the cap counts multisets on {1, beta, tau}, C(N+3, 2), not C(N+8, 7)
+    code, out, _ = run(
+        capsys,
+        [
+            "plan", "--epsilon", "0.05", "--delta", "0.05",
+            "--adversarial", "--hedge", "none", "--format", "json",
+        ],
+        stdin='{"eigenvalues": [1, 0.7, 0.6, 0.5, 0.4, 0.3, 0.25, 0.2]}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["n_tests_adversarial"] == 236
+    assert not any("exact count skipped" in w for w in doc["warnings"])
+
+
 def test_plan_hedge_none_singular_warns(capsys, monkeypatch):
     code, out, _ = run(
         capsys,
@@ -203,6 +220,21 @@ def test_sweep_nu_hedging_curves(capsys):
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, ["sweep", "--param", "lambda", "--range", "oops"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--param", "nu", "--range", "nan:1:4"],
+        ["--param", "lambda", "--range", "0.2:inf:4"],
+        ["--param", "delta", "--range", "0.1:0.5:3", "--lam", "nan"],
+        ["--param", "delta", "--range", "0.1:0.5:3", "--epsilon", "inf"],
+    ],
+)
+def test_sweep_non_finite_input_writes_nothing(capsys, argv):
+    code, out, _ = run(capsys, ["sweep", *argv])
+    assert code == 1
+    assert out == ""
 
 
 def test_plan_bad_hedge_flag(capsys, monkeypatch):
