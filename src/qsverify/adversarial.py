@@ -316,7 +316,8 @@ def min_tests_adv(s: Spectrum, t: PrecisionTarget, cap: int = DEFAULT_CAP) -> in
         else:
             raise NumericalRange("count bound not feasible; rounding pathology")
 
-    lb = min(lb, ub)
+    # The two-level bound reads 0 when delta > beta; no count is below 1.
+    lb = max(1, min(lb, ub))
     n = first_feasible(lb, ub)
     if n == lb > 1 and feasible(lb - 1):
         # The lower bound overshot by rounding; the hull has the last word.

@@ -248,19 +248,18 @@ def _hedge_choice(flag: str, s: spectrum.Spectrum, warnings: list[str]):
 
 def cmd_sweep(args) -> int:
     lo, hi, num = _parse_range(args.range)
-    writer = csv.writer(sys.stdout)
     grid = [lo + (hi - lo) * i / (num - 1) if num > 1 else lo for i in range(num)]
+    # Every row is computed before any is written, so an error prints nothing.
+    rows: list[list] = []
 
     if args.param == "lambda":
         t = PrecisionTarget(args.epsilon, args.delta)
-        writer.writerow(
-            [
-                "lambda",
-                "n_tests_honest:honest-exact",
-                "n_tests_adversarial:two-level-exact",
-                "n_tests_approx:log-rate-formula",
-            ]
-        )
+        header = [
+            "lambda",
+            "n_tests_honest:honest-exact",
+            "n_tests_adversarial:two-level-exact",
+            "n_tests_approx:log-rate-formula",
+        ]
         for lam in grid:
             s = spectrum.homogeneous(lam)
             n_na = nonadversarial.num_tests_na(s, t)
@@ -270,40 +269,31 @@ def cmd_sweep(args) -> int:
                 if lam > 0.0
                 else (1.0 - t.delta) / (t.epsilon * t.delta)
             )
-            writer.writerow([f"{lam:.12g}", n_na, n_adv, f"{approx:.12g}"])
+            rows.append([f"{lam:.12g}", n_na, n_adv, f"{approx:.12g}"])
     elif args.param == "delta":
-        # checked before any output, like the range
-        if not (0.0 < args.epsilon < 1.0 and 0.0 <= args.lam < homogeneous.MAX_LAM):
-            raise VerificationError(
-                f"epsilon {args.epsilon!r} must lie in (0, 1) and --lam {args.lam!r} in [0, 1)"
-            )
-        writer.writerow(
-            [
-                "delta",
-                "n_tests_adversarial:two-level-exact",
-                "n_tests_approx:singular-rate-formula"
-                if args.lam == 0.0
-                else "n_tests_approx:log-rate-formula",
-            ]
-        )
+        header = [
+            "delta",
+            "n_tests_adversarial:two-level-exact",
+            "n_tests_approx:singular-rate-formula"
+            if args.lam == 0.0
+            else "n_tests_approx:log-rate-formula",
+        ]
         for dlt in grid:
             n_adv = homogeneous.min_tests_homo(args.epsilon, dlt, args.lam)
             if args.lam == 0.0:
                 approx = (1.0 - dlt) / (args.epsilon * dlt)
             else:
                 approx = math.log(dlt) / (args.lam * args.epsilon * math.log(args.lam))
-            writer.writerow([f"{dlt:.12g}", n_adv, f"{approx:.12g}"])
+            rows.append([f"{dlt:.12g}", n_adv, f"{approx:.12g}"])
     elif args.param == "epsilon":
-        writer.writerow(
-            [
-                "epsilon",
-                "lambda_star:optimal-eigenvalue-root",
-                "normalized_overhead:rate-vs-benchmark",
-            ]
-        )
+        header = [
+            "epsilon",
+            "lambda_star:optimal-eigenvalue-root",
+            "normalized_overhead:rate-vs-benchmark",
+        ]
         for eps in grid:
             summary = homogeneous.normalized_overhead(eps)
-            writer.writerow(
+            rows.append(
                 [
                     f"{eps:.12g}",
                     f"{summary.lambda_star:.12g}",
@@ -311,20 +301,18 @@ def cmd_sweep(args) -> int:
                 ]
             )
     elif args.param == "nu":
-        writer.writerow(
-            [
-                "nu",
-                "p_star:balance-root",
-                "h_star:minimal-prefactor",
-                "nu_h_star:overhead",
-                "nu_h_p0:overhead-at-nu-over-e",
-            ]
-        )
+        header = [
+            "nu",
+            "p_star:balance-root",
+            "h_star:minimal-prefactor",
+            "nu_h_star:overhead",
+            "nu_h_p0:overhead-at-nu-over-e",
+        ]
         for nu in grid:
             ps = hedging.p_star(nu, 0.0)
             hs = hedging.h_star(nu, 0.0)
             h0 = hedging.h_p(hedging.p_zero(nu), nu, 0.0)
-            writer.writerow(
+            rows.append(
                 [
                     f"{nu:.12g}",
                     f"{ps:.12g}",
@@ -335,6 +323,9 @@ def cmd_sweep(args) -> int:
             )
     else:
         raise VerificationError(f"unknown sweep parameter {args.param!r}")
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows(rows)
     return EXIT_OK
 
 

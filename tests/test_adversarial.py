@@ -360,6 +360,34 @@ def test_min_tests_recovers_from_a_lower_bound_too_high(monkeypatch, values, bou
     assert adv.min_tests_adv(s, t) == true
 
 
+@pytest.mark.parametrize(
+    "values, eps, dlt",
+    [
+        ([1.0, 0.2], 0.9, 0.9),
+        ([1.0, 0.3, 0.1], 0.5, 0.8),
+        ([1.0, 0.4, 0.3, 0.05], 0.6, 0.9),
+        ([1.0, 0.3, 0.0], 0.9, 0.9),
+    ],
+)
+def test_min_tests_one_test_when_delta_above_beta(values, eps, dlt):
+    # delta > beta makes the two-level lower bound 0; the search starts at 1
+    s = spectrum.from_eigenvalues(values)
+    t = PrecisionTarget(eps, dlt)
+    assert adv.min_tests_adv(s, t) == 1 == min_tests_adv_doubling(s, t)
+
+
+def test_min_tests_delta_above_beta_matches_full_enumeration_search():
+    rng = random.Random(606)
+    for _ in range(40):
+        d = rng.randint(2, 6)
+        vals = sorted((rng.uniform(0.02, 0.5) for _ in range(d - 1)), reverse=True)
+        if rng.random() < 0.2:
+            vals[-1] = 0.0
+        s = spectrum.from_eigenvalues([1.0, *vals])
+        t = PrecisionTarget(rng.uniform(0.05, 0.95), rng.uniform(s.beta, 0.99))
+        assert adv.min_tests_adv(s, t) == min_tests_adv_doubling(s, t)
+
+
 def test_min_tests_matches_scan():
     rng = random.Random(77)
     for _ in range(15):

@@ -106,6 +106,20 @@ def test_plan_cap_warns_but_succeeds(capsys, monkeypatch):
     assert any("exact count skipped" in w for w in doc["warnings"])
 
 
+def test_plan_one_test_when_delta_above_beta(capsys, monkeypatch):
+    code, out, _ = run(
+        capsys,
+        [
+            "plan", "--epsilon", "0.9", "--delta", "0.9",
+            "--adversarial", "--hedge", "none", "--format", "json",
+        ],
+        stdin='{"eigenvalues": [1, 0.2]}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["n_tests_adversarial"] == 1
+
+
 def test_plan_exact_for_eight_eigenvalues_under_default_cap(capsys, monkeypatch):
     # the cap counts multisets on {1, beta, tau}, C(N+3, 2), not C(N+8, 7)
     code, out, _ = run(
@@ -229,9 +243,11 @@ def test_sweep_bad_range(capsys):
         ["--param", "lambda", "--range", "0.2:inf:4"],
         ["--param", "delta", "--range", "0.1:0.5:3", "--lam", "nan"],
         ["--param", "delta", "--range", "0.1:0.5:3", "--epsilon", "inf"],
+        ["--param", "lambda", "--range", "0.2:1.5:4"],
+        ["--param", "delta", "--range", "0.5:1.5:3", "--lam", "0.3"],
     ],
 )
-def test_sweep_non_finite_input_writes_nothing(capsys, argv):
+def test_sweep_bad_input_writes_nothing(capsys, argv):
     code, out, _ = run(capsys, ["sweep", *argv])
     assert code == 1
     assert out == ""
