@@ -39,11 +39,13 @@ import numpy as np
 
 from .bounds import tests_bounds_general, tests_bounds_nonsingular
 from .errors import DivByZeroGuard, InvalidParams, NumericalRange, OutOfRange, SizeLimit
+from .homogeneous import MAX_LAM, min_tests_homo
 from .nonadversarial import PrecisionTarget
 from .spectrum import Spectrum
 
 #: Default cap on the label multisets enumerated exactly: C(N+3, 2) for one
 #: hull (multisets on {1, beta, tau}), C(N+d, d-1) for :func:`compositions`.
+#: Counts planned in closed form by :func:`min_tests_adv` enumerate none.
 DEFAULT_CAP = 10**7
 
 #: Cross products below this are treated as collinear and the midpoint dropped.
@@ -268,17 +270,28 @@ def fidelity_adv_by_f(n: int, f: float, s: Spectrum, cap: int = DEFAULT_CAP) -> 
 def min_tests_adv(s: Spectrum, t: PrecisionTarget, cap: int = DEFAULT_CAP) -> int:
     """Least N whose boundary reaches joint weight delta*(1-eps) at level delta.
 
-    Feasibility is monotone in N, so a binary search inside the proven count
-    bracket settles it.  Its lower end is the two-level bound for
-    positive-definite spectra and the singular bound when tau = 0; its upper
-    end is the least of the universal, large-gap (nu >= 1/2) and prefactor
-    (tau > 0) bounds.  Both ends are checked on the hull itself, so the N
-    returned is feasible and N-1 is not, whatever rounding does to the
-    analytic bounds.
+    One dispatch over three exact methods, all giving the minimum over the
+    same achievable region:
+
+    * two-level spectra (d = 2, beta < MAX_LAM): the closed form
+      :func:`~qsverify.homogeneous.min_tests_homo`;
+    * singular spectra with nu >= 1/2: the singular and large-gap bounds
+      coincide and pin the count (``tests_bounds_general(...).exact``);
+    * any other spectrum: a binary search on the hull (feasibility is
+      monotone in N) inside the proven bracket.  Its lower end is the
+      two-level bound for positive-definite spectra and the singular bound
+      when tau = 0; its upper end is the least of the universal, large-gap
+      (nu >= 1/2) and prefactor (tau > 0) bounds.  Both ends are checked on
+      the hull, so the N returned is feasible and N-1 is not, whatever
+      rounding does to the analytic bounds.  ``cap`` bounds only this path.
     """
     eps, dlt = t.epsilon, t.delta
-    target = dlt * (1.0 - eps)
+    if s.d == 2 and s.beta < MAX_LAM:
+        return min_tests_homo(eps, dlt, s.beta)
     gb = tests_bounds_general(s, t)
+    if gb.exact is not None:
+        return gb.exact
+    target = dlt * (1.0 - eps)
     uppers = [gb.upper, gb.nu_half_upper]
     if s.tau > 0.0:
         nb = tests_bounds_nonsingular(s, t)

@@ -569,7 +569,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="most label multisets one exact hull may enumerate: "
                         "C(N+3, 2) at the search's upper N, whatever the number "
                         "of distinct eigenvalues (default 10^7); above it, "
-                        "bounds are reported instead")
+                        "bounds are reported instead. Bounds only the hull "
+                        "path: closed-form counts ignore it")
     add_common(p)
     p.set_defaults(func=cmd_plan)
 

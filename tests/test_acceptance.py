@@ -22,6 +22,7 @@ from qsverify import (
 )
 from qsverify.homogeneous import HomoContext
 from qsverify.nonadversarial import PrecisionTarget
+from oracles import min_tests_adv_doubling
 
 
 def criterion(cid, name):
@@ -71,7 +72,9 @@ def test_c02_count_formula_vs_search():
         dlt = rng.uniform(0.03, 0.6)
         lam = rng.uniform(0.0, 0.9)
         got = homo.min_tests_homo(eps, dlt, lam)
-        expect = adv.min_tests_adv(spectrum.homogeneous(lam), PrecisionTarget(eps, dlt))
+        expect = min_tests_adv_doubling(
+            spectrum.homogeneous(lam), PrecisionTarget(eps, dlt)
+        )
         assert got == expect, (eps, dlt, lam, got, expect)
     assert time.monotonic() - start < 20.0
 
@@ -153,7 +156,7 @@ def test_c06_universal_floor():
             max(1, math.ceil((1 - t.delta) / (s.nu * t.delta * t.epsilon) - 1e-9)),
             max(1, math.ceil(1 / (t.delta * t.epsilon) - 1 - 1e-9)),
         )
-        assert adv.min_tests_adv(s, t) == expect
+        assert min_tests_adv_doubling(s, t) == expect
 
 
 @criterion("07", "hedging prefactor floor, milestones, approximation gaps")

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from qsverify import adversarial as adv, bounds, errors, spectrum
+from qsverify import adversarial as adv, bounds, errors, hedging, spectrum
+from qsverify.homogeneous import HomoContext, zeta_homo
 from qsverify.nonadversarial import PrecisionTarget, num_tests_na
 from oracles import (
     boundary_full,
@@ -410,6 +411,69 @@ def test_min_tests_size_limit():
     s = spectrum.from_eigenvalues([1, 0.9, 0.5, 0.3])
     with pytest.raises(errors.SizeLimit):
         adv.min_tests_adv(s, PrecisionTarget(0.01, 0.01), cap=10_000)
+
+
+def assert_certified_two_level(n, lam, t):
+    # n reaches the target on the exact two-level boundary with no slack,
+    # and n - 1 does not
+    target = t.delta * (1.0 - t.epsilon)
+    assert zeta_homo(HomoContext(n, lam), t.delta) >= target
+    if n > 1:
+        assert zeta_homo(HomoContext(n - 1, lam), t.delta) < target
+
+
+@pytest.mark.parametrize("values", [[1.0, 0.138, 0.138], [1.0, 0.138]])
+def test_min_tests_two_level_search_slack_case(values):
+    # The hull search accepted 2633 here: its zeta misses the target by 4.4e-13.
+    s = spectrum.from_eigenvalues(values)
+    hedged = hedging.hedge(s, hedging.p_star(s.nu, s.tau))
+    t = PrecisionTarget(0.00538, 0.00484)
+    assert hedged.d == 2
+    assert adv.min_tests_adv(hedged, t) == 2634
+    assert_certified_two_level(2634, hedged.beta, t)
+
+
+def test_min_tests_two_level_certified_on_closed_form():
+    rng = random.Random(2634)
+    for i in range(200):
+        lam = 0.0 if i % 10 == 0 else rng.uniform(0.0, 0.95)
+        eps = rng.uniform(1e-3, 0.5)
+        # every fifth target has delta above lambda: one test can suffice
+        dlt = rng.uniform(lam, 0.9) if i % 5 == 1 else rng.uniform(1e-3, 0.9)
+        t = PrecisionTarget(eps, dlt)
+        n = adv.min_tests_adv(spectrum.homogeneous(lam), t)
+        assert_certified_two_level(n, lam, t)
+
+
+@pytest.mark.parametrize(
+    "values, eps, expected",
+    [
+        ([1.0, 0.5], 0.01, 1307),
+        # singular: min((1-delta)/(nu*eps*delta), 1/(eps*delta) - 1), ceiled
+        ([1.0, 0.0], 0.01, 9900),
+        ([1.0, 0.5, 0.0], 0.01, 9999),
+        ([1.0, 0.4, 0.2, 0.0], 0.001, 999999),
+    ],
+)
+def test_min_tests_dispatched_paths_build_no_boundary(monkeypatch, values, eps, expected):
+    def no_hull(*args, **kwargs):
+        raise AssertionError("boundary built on a closed-form path")
+
+    monkeypatch.setattr(adv, "boundary", no_hull)
+    s = spectrum.from_eigenvalues(values)
+    assert adv.min_tests_adv(s, PrecisionTarget(eps, eps), cap=1) == expected
+
+
+def test_min_tests_closed_form_ignores_cap():
+    s = spectrum.homogeneous(0.5)
+    assert adv.min_tests_adv(s, PrecisionTarget(0.01, 0.01), cap=100) == 1307
+
+
+def test_min_tests_near_unit_two_level_stays_on_hull():
+    # beta >= MAX_LAM has no closed form; the hull path refuses by size
+    s = spectrum.from_eigenvalues([1.0, 0.9999999999])
+    with pytest.raises(errors.SizeLimit):
+        adv.min_tests_adv(s, PrecisionTarget(0.01, 0.01))
 
 
 # ----------------------------------------------------------- region invariants

@@ -106,6 +106,57 @@ def test_plan_cap_warns_but_succeeds(capsys, monkeypatch):
     assert any("exact count skipped" in w for w in doc["warnings"])
 
 
+@pytest.mark.parametrize(
+    "strategy",
+    [{"homogeneous": {"lambda": 0.138}}, {"eigenvalues": [1, 0.138, 0.138]}],
+)
+def test_plan_two_level_count_is_exact(capsys, monkeypatch, strategy):
+    # the hull search's 1e-12 slack once accepted 2633 here
+    code, out, _ = run(
+        capsys,
+        [
+            "plan", "--epsilon", "0.00538", "--delta", "0.00484",
+            "--adversarial", "--hedge", "auto", "--format", "json",
+        ],
+        stdin=json.dumps(strategy),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["n_tests_adversarial"] == 2634
+
+
+def test_plan_cap_bounds_only_the_hull(capsys, monkeypatch):
+    code, out, _ = run(
+        capsys,
+        [
+            "plan", "--epsilon", "0.01", "--delta", "0.01", "--adversarial",
+            "--hedge", "none", "--cap", "100", "--format", "json",
+        ],
+        stdin='{"homogeneous": {"lambda": 0.5}}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["n_tests_adversarial"] == 1307
+    assert doc["warnings"] == []
+
+
+def test_plan_near_unit_two_level_skips_exact_count(capsys, monkeypatch):
+    code, out, _ = run(
+        capsys,
+        [
+            "plan", "--epsilon", "0.01", "--delta", "0.01",
+            "--adversarial", "--format", "json",
+        ],
+        stdin='{"eigenvalues": [1, 0.9999999999]}',
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert "n_tests_adversarial" not in doc["results"]
+    assert any("exact count skipped" in w for w in doc["warnings"])
+
+
 def test_plan_one_test_when_delta_above_beta(capsys, monkeypatch):
     code, out, _ = run(
         capsys,

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qsverify import adversarial as adv, errors, homogeneous as homo, spectrum
+from qsverify import errors, homogeneous as homo, spectrum
 from qsverify.homogeneous import HomoContext
 from qsverify.nonadversarial import PrecisionTarget
-from oracles import bisect_root, min_tests_adv_scan, zeta_two_point_lp
+from oracles import bisect_root, min_tests_adv_doubling, min_tests_adv_scan, zeta_two_point_lp
 
 
 def test_zeta_homo_values():
@@ -115,7 +115,7 @@ def test_min_tests_homo_matches_hull_search():
         dlt = rng.uniform(0.1, 0.6)
         lam = rng.uniform(0.0, 0.9)
         t = PrecisionTarget(eps, dlt)
-        assert homo.min_tests_homo(eps, dlt, lam) == adv.min_tests_adv(
+        assert homo.min_tests_homo(eps, dlt, lam) == min_tests_adv_doubling(
             spectrum.homogeneous(lam), t
         )
 

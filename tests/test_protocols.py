@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from qsverify import adversarial as adv, errors, protocols, spectrum
+from qsverify import errors, protocols, spectrum
 from qsverify.homogeneous import min_tests_homo
 from qsverify.nonadversarial import PrecisionTarget, num_tests_na
 from qsverify.protocols import Family
+from oracles import min_tests_adv_doubling
 
 
 def test_describe_max_entangled_and_ghz():
@@ -177,7 +178,7 @@ def test_gme_adversarial_count_uses_exact_two_level_form():
     # and the strategy really does verify at that count
     s = spectrum.homogeneous(2 / (d + 1))
     t = PrecisionTarget((d - 1) / d, 0.2)
-    assert got == adv.min_tests_adv(s, t)
+    assert got == min_tests_adv_doubling(s, t)
 
 
 def test_table_formulas_at_one_percent():
