@@ -464,18 +464,6 @@ def test_min_tests_dispatched_paths_build_no_boundary(monkeypatch, values, eps, 
     assert adv.min_tests_adv(s, PrecisionTarget(eps, eps), cap=1) == expected
 
 
-def test_min_tests_closed_form_ignores_cap():
-    s = spectrum.homogeneous(0.5)
-    assert adv.min_tests_adv(s, PrecisionTarget(0.01, 0.01), cap=100) == 1307
-
-
-def test_min_tests_near_unit_two_level_stays_on_hull():
-    # beta >= MAX_LAM has no closed form; the hull path refuses by size
-    s = spectrum.from_eigenvalues([1.0, 0.9999999999])
-    with pytest.raises(errors.SizeLimit):
-        adv.min_tests_adv(s, PrecisionTarget(0.01, 0.01))
-
-
 # ----------------------------------------------------------- region invariants
 
 

@@ -142,6 +142,7 @@ def test_plan_cap_bounds_only_the_hull(capsys, monkeypatch):
 
 
 def test_plan_near_unit_two_level_skips_exact_count(capsys, monkeypatch):
+    # beta >= MAX_LAM has no closed form, so the hull path's cap applies
     code, out, _ = run(
         capsys,
         [

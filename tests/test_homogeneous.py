@@ -7,7 +7,12 @@ from hypothesis import given, strategies as st
 from qsverify import errors, homogeneous as homo, spectrum
 from qsverify.homogeneous import HomoContext
 from qsverify.nonadversarial import PrecisionTarget
-from oracles import bisect_root, min_tests_adv_doubling, min_tests_adv_scan, zeta_two_point_lp
+from oracles import (
+    bisect_root,
+    min_tests_adv_doubling,
+    min_tests_adv_scan,
+    zeta_two_point_lp,
+)
 
 
 def test_zeta_homo_values():
