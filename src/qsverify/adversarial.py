@@ -51,9 +51,6 @@ DEFAULT_CAP = 10**7
 #: Cross products below this are treated as collinear and the midpoint dropped.
 COLLINEAR_TOL = 1e-14
 
-#: Slack when comparing a hull value against a target joint weight.
-FEASIBLE_TOL = 1e-12
-
 
 def composition_count(n: int, d: int) -> int:
     """Number of label multisets: C(n + d, d - 1)."""
@@ -308,7 +305,7 @@ def min_tests_adv(s: Spectrum, t: PrecisionTarget, cap: int = DEFAULT_CAP) -> in
         )
 
     def feasible(n: int) -> bool:
-        return boundary(n, s, cap).zeta(dlt) >= target - FEASIBLE_TOL
+        return boundary(n, s, cap).zeta(dlt) >= target
 
     def first_feasible(lo: int, hi: int) -> int:
         # least n in [lo, hi] with feasible(n), given feasible(hi)

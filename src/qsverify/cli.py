@@ -1,8 +1,9 @@
 """Command-line front end: analyze, plan, sweep, single-copy, table1, simulate.
 
 Every numeric result carries a provenance label naming the method that
-produced it, so reports can be audited.  Output formats: text (default),
-json, csv.  Exit codes: 0 success, 1 input error, 2 infeasible query,
+produced it, so reports can be audited: each command builds one
+:class:`Report`.  Output formats: text (default), json, csv; ``sweep``
+writes CSV only.  Exit codes: 0 success, 1 input error, 2 infeasible query,
 3 numerical failure.
 """
 
@@ -51,29 +52,43 @@ def _fmt6(value) -> str:
     return str(value)
 
 
-def _emit(report: dict, fmt: str) -> None:
+class Report:
+    """One command's output: its request, labelled results and warnings.
+
+    Each result is added together with its provenance label, the name of
+    the method that produced it; :func:`_emit` writes the report.
+    """
+
+    def __init__(self, request: dict):
+        self.request = request
+        self.results: dict[str, tuple[object, str]] = {}
+        self.warnings: list[str] = []
+
+    def add(self, key: str, value, label: str) -> None:
+        self.results[key] = (value, label)
+
+
+def _emit(report: Report, fmt: str) -> None:
+    items = report.results.items()
     if fmt == "json":
-        rounded = {
-            "request": report["request"],
-            "results": {k: _round12(v) for k, v in report["results"].items()},
-            "provenance": report["provenance"],
-            "warnings": report["warnings"],
+        doc = {
+            "request": report.request,
+            "results": {key: _round12(value) for key, (value, _) in items},
+            "provenance": {key: label for key, (_, label) in items},
+            "warnings": report.warnings,
         }
-        print(json.dumps(rounded, indent=2))
+        print(json.dumps(doc, indent=2))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["key", "value", "provenance"])
-        for key, value in report["results"].items():
-            writer.writerow(
-                [key, _round12(value), report["provenance"].get(key, "")]
-            )
-        for warning in report["warnings"]:
+        for key, (value, label) in items:
+            writer.writerow([key, _round12(value), label])
+        for warning in report.warnings:
             writer.writerow(["warning", warning, ""])
     else:
-        for key, value in report["results"].items():
-            label = report["provenance"].get(key, "")
+        for key, (value, label) in items:
             print(f"{key} = {_fmt6(value)}  [{label}]")
-        for warning in report["warnings"]:
+        for warning in report.warnings:
             print(f"warning: {warning}")
 
 
@@ -87,155 +102,101 @@ def _read_json_input(path: str | None):
 def cmd_analyze(args) -> int:
     obj = _read_json_input(args.input)
     s = spectrum.from_json_dict(obj)
-    results = {
-        "beta": s.beta,
-        "tau": s.tau,
-        "nu": s.nu,
-        "distinct": list(s.distinct),
-    }
-    provenance = {
-        "beta": "second largest distinct eigenvalue",
-        "tau": "smallest eigenvalue",
-        "nu": "spectral gap 1 - beta",
-        "distinct": "deduped eigenvalues",
-    }
-    warnings = []
+    report = Report({"command": "analyze", "strategy": obj})
+    report.add("beta", s.beta, "second largest distinct eigenvalue")
+    report.add("tau", s.tau, "smallest eigenvalue")
+    report.add("nu", s.nu, "spectral gap 1 - beta")
+    report.add("distinct", list(s.distinct), "deduped eigenvalues")
     if s.tau > 0.0:
         hc = bounds.h_of(s)
-        results["h"] = hc.h
-        results["beta_tilde"] = hc.beta_tilde
-        provenance["h"] = "overhead prefactor 1/min(x ln(1/x)) over extremes"
-        provenance["beta_tilde"] = "eigenvalue attaining the prefactor"
+        report.add("h", hc.h, "overhead prefactor 1/min(x ln(1/x)) over extremes")
+        report.add("beta_tilde", hc.beta_tilde, "eigenvalue attaining the prefactor")
     else:
-        warnings.append("singular strategy (tau = 0): prefactor h undefined")
+        report.warnings.append("singular strategy (tau = 0): prefactor h undefined")
     if args.N is not None:
-        results["delta_c"] = adversarial.delta_c(args.N, s)
-        provenance["delta_c"] = "critical pass level (zero joint weight)"
+        report.add("delta_c", adversarial.delta_c(args.N, s),
+                   "critical pass level (zero joint weight)")
     if args.epsilon is not None:
-        results["max_pass_prob"] = nonadversarial.max_pass_prob(s, args.epsilon)
-        provenance["max_pass_prob"] = "1 - nu*eps"
+        report.add("max_pass_prob", nonadversarial.max_pass_prob(s, args.epsilon),
+                   "1 - nu*eps")
         if args.delta is not None:
             t = PrecisionTarget(args.epsilon, args.delta)
             try:
-                results["n_tests_honest"] = nonadversarial.num_tests_na(s, t)
-                provenance["n_tests_honest"] = "honest-exact count"
+                report.add("n_tests_honest", nonadversarial.num_tests_na(s, t),
+                           "honest-exact count")
             except NumericalRange:
-                approx = -math.log(t.delta) / (s.nu * t.epsilon)
-                results["n_tests_honest_asymptotic"] = approx
-                provenance["n_tests_honest_asymptotic"] = (
-                    "ln(1/delta)/(nu*eps); exact count out of float range"
-                )
-                warnings.append("nu*eps too small for the exact count")
-            results["single_test_honest"] = nonadversarial.single_test_sufficient_na(
-                s, t
-            )
-            provenance["single_test_honest"] = "nu*eps + delta >= 1"
-    _emit(
-        {
-            "request": {"command": "analyze", "strategy": obj},
-            "results": results,
-            "provenance": provenance,
-            "warnings": warnings,
-        },
-        args.format,
-    )
+                report.add("n_tests_honest_asymptotic",
+                           -math.log(t.delta) / (s.nu * t.epsilon),
+                           "ln(1/delta)/(nu*eps); exact count out of float range")
+                report.warnings.append("nu*eps too small for the exact count")
+            report.add("single_test_honest",
+                       nonadversarial.single_test_sufficient_na(s, t),
+                       "nu*eps + delta >= 1")
+    _emit(report, args.format)
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
     obj = _read_json_input(args.input)
     t = PrecisionTarget(args.epsilon, args.delta)
-    warnings: list[str] = []
+    report = Report({"command": "plan", "input": obj, "epsilon": t.epsilon,
+                     "delta": t.delta, "adversarial": args.adversarial})
 
     if "protocol" in obj:
         desc = protocols.protocol_from_json(obj)
         p = protocols.plan(desc, t, args.adversarial)
-        results = {
-            "family": desc.family.value,
-            "nu": desc.nu,
-            "settings": desc.settings,
-            "n_tests_honest": p.n_na,
-        }
-        provenance = {
-            "family": "protocol catalog",
-            "nu": "catalog spectral gap",
-            "settings": "catalog measurement settings",
-            "n_tests_honest": "honest-exact count",
-        }
+        report.add("family", desc.family.value, "protocol catalog")
+        report.add("nu", desc.nu, "catalog spectral gap")
+        report.add("settings", desc.settings, "catalog measurement settings")
+        report.add("n_tests_honest", p.n_na, "honest-exact count")
         if args.adversarial:
-            results["n_tests_adversarial"] = p.n_adv
-            results["hedge_p"] = p.hedge_p
-            provenance["n_tests_adversarial"] = p.formula
-            provenance["hedge_p"] = "trivial-test probability"
+            report.add("n_tests_adversarial", p.n_adv, p.formula)
+            report.add("hedge_p", p.hedge_p, "trivial-test probability")
             if p.lambda_effective is not None:
-                results["lambda_effective"] = p.lambda_effective
-                provenance["lambda_effective"] = "hedged common eigenvalue"
-        _emit(
-            {
-                "request": {"command": "plan", "input": obj, "epsilon": t.epsilon,
-                            "delta": t.delta, "adversarial": args.adversarial},
-                "results": results,
-                "provenance": provenance,
-                "warnings": warnings,
-            },
-            args.format,
-        )
+                report.add("lambda_effective", p.lambda_effective,
+                           "hedged common eigenvalue")
+        _emit(report, args.format)
         return EXIT_OK
 
+    # Protocol plans hedge by the catalog's rule; only strategies read --hedge.
+    report.request["hedge"] = args.hedge
     s = spectrum.from_json_dict(obj)
-    results = {"n_tests_honest": nonadversarial.num_tests_na(s, t)}
-    provenance = {"n_tests_honest": "honest-exact count"}
-
+    report.add("n_tests_honest", nonadversarial.num_tests_na(s, t), "honest-exact count")
     if args.adversarial:
-        p, label = _hedge_choice(args.hedge, s, warnings)
+        p, label = _hedge_choice(args.hedge, s)
         hedged = hedging.hedge(s, p)
-        results["hedge_p"] = p
-        provenance["hedge_p"] = label
+        report.add("hedge_p", p, label)
         if hedged.singular:
-            warnings.append(
+            report.warnings.append(
                 "strategy is singular: the count scales like 1/delta, "
                 "not ln(1/delta); consider hedging"
             )
         gb = bounds.tests_bounds_general(hedged, t)
-        results["n_upper_universal"] = gb.upper
-        provenance["n_upper_universal"] = "universal count bound"
+        report.add("n_upper_universal", gb.upper, "universal count bound")
         if gb.exact is not None:
-            results["n_exact_singular"] = gb.exact
-            provenance["n_exact_singular"] = "singular large-gap exact count"
+            report.add("n_exact_singular", gb.exact, "singular large-gap exact count")
         if hedged.tau > 0.0:
             nb = bounds.tests_bounds_nonsingular(hedged, t)
-            results["n_lower_prefactor"] = nb.lower
-            results["n_upper_prefactor"] = nb.upper
-            provenance["n_lower_prefactor"] = "two-level lower bound"
-            provenance["n_upper_prefactor"] = "prefactor upper bound"
+            report.add("n_lower_prefactor", nb.lower, "two-level lower bound")
+            report.add("n_upper_prefactor", nb.upper, "prefactor upper bound")
         try:
             hb = hedging.hedged_tests_upper(s, t, p)
-            results["n_upper_hedged"] = hb.bound_int
-            provenance["n_upper_hedged"] = "hedged planning bound"
+            report.add("n_upper_hedged", hb.bound_int, "hedged planning bound")
         except (errors.OutOfRange, errors.SingularHedge):
             pass
         try:
-            results["n_tests_adversarial"] = adversarial.min_tests_adv(
-                hedged, t, cap=args.cap
-            )
-            provenance["n_tests_adversarial"] = "hull-exact count"
+            report.add("n_tests_adversarial",
+                       adversarial.min_tests_adv(hedged, t, cap=args.cap),
+                       "hull-exact count")
         except SizeLimit as exc:
-            warnings.append(f"exact count skipped: {exc}; bounds reported instead")
-    _emit(
-        {
-            "request": {"command": "plan", "input": obj, "epsilon": t.epsilon,
-                        "delta": t.delta, "adversarial": args.adversarial,
-                        "hedge": args.hedge},
-            "results": results,
-            "provenance": provenance,
-            "warnings": warnings,
-        },
-        args.format,
-    )
+            report.warnings.append(
+                f"exact count skipped: {exc}; bounds reported instead"
+            )
+    _emit(report, args.format)
     return EXIT_OK
 
 
-def _hedge_choice(flag: str, s: spectrum.Spectrum, warnings: list[str]):
+def _hedge_choice(flag: str, s: spectrum.Spectrum):
     if flag == "none":
         return 0.0, "no hedging requested"
     if flag.startswith("p="):
@@ -252,6 +213,12 @@ def cmd_sweep(args) -> int:
     # Every row is computed before any is written, so an error prints nothing.
     rows: list[list] = []
 
+    def rate_approx(eps: float, dlt: float, lam: float) -> float:
+        # the columns' log-rate formula, or the singular-rate one at lam = 0
+        if lam > 0.0:
+            return math.log(dlt) / (lam * eps * math.log(lam))
+        return (1.0 - dlt) / (eps * dlt)
+
     if args.param == "lambda":
         t = PrecisionTarget(args.epsilon, args.delta)
         header = [
@@ -264,11 +231,7 @@ def cmd_sweep(args) -> int:
             s = spectrum.homogeneous(lam)
             n_na = nonadversarial.num_tests_na(s, t)
             n_adv = homogeneous.min_tests_homo(t.epsilon, t.delta, lam)
-            approx = (
-                math.log(t.delta) / (lam * t.epsilon * math.log(lam))
-                if lam > 0.0
-                else (1.0 - t.delta) / (t.epsilon * t.delta)
-            )
+            approx = rate_approx(t.epsilon, t.delta, lam)
             rows.append([f"{lam:.12g}", n_na, n_adv, f"{approx:.12g}"])
     elif args.param == "delta":
         header = [
@@ -280,10 +243,7 @@ def cmd_sweep(args) -> int:
         ]
         for dlt in grid:
             n_adv = homogeneous.min_tests_homo(args.epsilon, dlt, args.lam)
-            if args.lam == 0.0:
-                approx = (1.0 - dlt) / (args.epsilon * dlt)
-            else:
-                approx = math.log(dlt) / (args.lam * args.epsilon * math.log(args.lam))
+            approx = rate_approx(args.epsilon, dlt, args.lam)
             rows.append([f"{dlt:.12g}", n_adv, f"{approx:.12g}"])
     elif args.param == "epsilon":
         header = [
@@ -300,7 +260,7 @@ def cmd_sweep(args) -> int:
                     f"{summary.normalized_best:.12g}",
                 ]
             )
-    elif args.param == "nu":
+    else:
         header = [
             "nu",
             "p_star:balance-root",
@@ -321,8 +281,6 @@ def cmd_sweep(args) -> int:
                     f"{nu * h0:.12g}",
                 ]
             )
-    else:
-        raise VerificationError(f"unknown sweep parameter {args.param!r}")
     writer = csv.writer(sys.stdout)
     writer.writerow(header)
     writer.writerows(rows)
@@ -343,76 +301,38 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 def cmd_single_copy(args) -> int:
     t = PrecisionTarget(args.epsilon, args.delta)
-    warnings: list[str] = []
-    results: dict = {}
-    provenance: dict = {}
+    report = Report({"command": "single-copy", "epsilon": t.epsilon,
+                     "delta": t.delta, "beta": args.beta, "tau": args.tau})
 
     if args.beta is not None:
         tau = args.tau if args.tau is not None else args.beta
         joint = single_copy.zeta_one_general(t.delta, args.beta, tau)
-        feasible = joint >= t.delta * (1.0 - t.epsilon) - 1e-12
-        results.update(
-            {
-                "feasible": feasible,
-                "joint_weight": joint,
-                "required_joint_weight": t.delta * (1.0 - t.epsilon),
-            }
-        )
-        provenance.update(
-            {
-                "feasible": "single-test piecewise formula vs target",
-                "joint_weight": "single-test piecewise formula",
-                "required_joint_weight": "delta*(1-eps)",
-            }
-        )
+        required = t.delta * (1.0 - t.epsilon)
+        feasible = joint >= required - 1e-12
+        report.add("feasible", feasible, "single-test piecewise formula vs target")
+        report.add("joint_weight", joint, "single-test piecewise formula")
+        report.add("required_joint_weight", required, "delta*(1-eps)")
         if t.delta <= 0.5:
-            results["feasible_criterion"] = single_copy.single_copy_feasible_strategy(
-                args.beta, tau, t
-            )
-            provenance["feasible_criterion"] = "extreme-eigenvalue criterion"
+            report.add("feasible_criterion",
+                       single_copy.single_copy_feasible_strategy(args.beta, tau, t),
+                       "extreme-eigenvalue criterion")
     else:
         feasible = single_copy.single_copy_feasible(t)
         value, optimizers = single_copy.max_zeta_one(t.delta)
-        results.update(
-            {
-                "feasible": feasible,
-                "delta_threshold": single_copy.feasibility_threshold(t.epsilon),
-                "best_joint_weight": value,
-                "optimal_lambdas": optimizers,
-            }
-        )
-        provenance.update(
-            {
-                "feasible": "single-test feasibility threshold",
-                "delta_threshold": "min(4(1-eps)/(2-eps)^2, 1/(1+eps))",
-                "best_joint_weight": "best single-test joint weight",
-                "optimal_lambdas": "optimizing two-level eigenvalues",
-            }
-        )
+        report.add("feasible", feasible, "single-test feasibility threshold")
+        report.add("delta_threshold", single_copy.feasibility_threshold(t.epsilon),
+                   "min(4(1-eps)/(2-eps)^2, 1/(1+eps))")
+        report.add("best_joint_weight", value, "best single-test joint weight")
+        report.add("optimal_lambdas", optimizers, "optimizing two-level eigenvalues")
         if t.delta <= 0.5:
             window = single_copy.lambda_window(t)
             if window is None:
-                results["lambda_window"] = None
-                provenance["lambda_window"] = "no feasible two-level eigenvalue"
+                report.add("lambda_window", None, "no feasible two-level eigenvalue")
             else:
-                results["lambda_window"] = list(window)
-                provenance["lambda_window"] = "feasible two-level eigenvalue interval"
-    _emit(
-        {
-            "request": {
-                "command": "single-copy",
-                "epsilon": t.epsilon,
-                "delta": t.delta,
-                "beta": args.beta,
-                "tau": args.tau,
-            },
-            "results": results,
-            "provenance": provenance,
-            "warnings": warnings,
-        },
-        args.format,
-    )
-    return EXIT_OK if results["feasible"] else EXIT_INFEASIBLE
+                report.add("lambda_window", list(window),
+                           "feasible two-level eigenvalue interval")
+    _emit(report, args.format)
+    return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
 def cmd_table1(args) -> int:
@@ -421,26 +341,22 @@ def cmd_table1(args) -> int:
         t, d=args.d, qudit_d=args.qudit_d, chi=args.chi, dicke_n=args.n
     )
     if args.format == "json":
-        doc = {
-            "request": {"command": "table1", "epsilon": t.epsilon, "delta": t.delta},
-            "results": {
-                "rows": [
-                    {
-                        "family": r.family,
-                        "nu": _round12(r.nu),
-                        "homogeneous": r.homogeneous,
-                        "n_tests_honest": r.n_na,
-                        "n_tests_adversarial": r.n_adv,
-                    }
-                    for r in rows
-                ]
-            },
-            "provenance": {
-                "rows": "catalog display formulas (see per-row formula fields)"
-            },
-            "warnings": [],
-        }
-        print(json.dumps(doc, indent=2))
+        report = Report({"command": "table1", "epsilon": t.epsilon, "delta": t.delta})
+        report.add(
+            "rows",
+            [
+                {
+                    "family": r.family,
+                    "nu": _round12(r.nu),
+                    "homogeneous": r.homogeneous,
+                    "n_tests_honest": r.n_na,
+                    "n_tests_adversarial": r.n_adv,
+                }
+                for r in rows
+            ],
+            "catalog display formulas (see per-row formula fields)",
+        )
+        _emit(report, "json")
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(
@@ -470,74 +386,37 @@ def cmd_table1(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    report = Report({"command": f"simulate {args.game}", "seed": args.seed,
+                     "trials": args.trials})
     if args.game == "iid":
         s = spectrum.from_json_dict(_read_json_input(args.input))
         weights = tuple(float(x) for x in args.weights.split(","))
         stats = simulate.run_iid(
             s, simulate.StateModel(weights), args.n_tests, args.trials, args.seed
         )
-        results = {
-            "pass_frequency": stats.pass_frequency,
-            "std_error": stats.std_error,
-            "expected": stats.expected,
-            "rng": stats.rng,
-        }
-        provenance = {
-            "pass_frequency": "Monte Carlo",
-            "std_error": "binomial standard error",
-            "expected": "(sum x_j lam_j)^N",
-            "rng": "generator id",
-        }
+        report.add("pass_frequency", stats.pass_frequency, "Monte Carlo")
+        report.add("std_error", stats.std_error, "binomial standard error")
+        report.add("expected", stats.expected, "(sum x_j lam_j)^N")
     elif args.game == "block":
         doc = _read_json_input(args.input)
         s = spectrum.from_json_dict(doc)
         model = simulate.block_model_from_json(doc["mixture"])
         n = sum(next(iter(model.mixture))) - 1
         stats = simulate.run_block(s, model, n, args.trials, args.seed)
-        results = {
-            "p_hat": stats.p_hat,
-            "f_hat": stats.f_hat,
-            "p_expected": stats.p_expected,
-            "f_expected": stats.f_expected,
-            "rng": stats.rng,
-        }
-        provenance = {
-            "p_hat": "Monte Carlo all-pass frequency",
-            "f_hat": "Monte Carlo joint frequency",
-            "p_expected": "mixture average of per-multiset points",
-            "f_expected": "mixture average of per-multiset points",
-            "rng": "generator id",
-        }
-    elif args.game == "estimator":
+        report.add("p_hat", stats.p_hat, "Monte Carlo all-pass frequency")
+        report.add("f_hat", stats.f_hat, "Monte Carlo joint frequency")
+        report.add("p_expected", stats.p_expected, "mixture average of per-multiset points")
+        report.add("f_expected", stats.f_expected, "mixture average of per-multiset points")
+    else:
         stats = simulate.run_estimator(
             args.lam, args.fidelity, args.n_tests, args.trials, args.seed
         )
-        results = {
-            "mean_estimate": stats.mean_estimate,
-            "std_estimate": stats.std_estimate,
-            "predicted_std": stats.predicted_std,
-            "std_bound": stats.std_bound,
-            "rng": stats.rng,
-        }
-        provenance = {
-            "mean_estimate": "Monte Carlo",
-            "std_estimate": "Monte Carlo (ddof=1)",
-            "predicted_std": "sqrt(p(1-p))/(nu sqrt(N))",
-            "std_bound": "1/(2 nu sqrt(N))",
-            "rng": "generator id",
-        }
-    else:
-        raise VerificationError(f"unknown simulate game {args.game!r}")
-    _emit(
-        {
-            "request": {"command": f"simulate {args.game}", "seed": args.seed,
-                        "trials": args.trials},
-            "results": results,
-            "provenance": provenance,
-            "warnings": [],
-        },
-        args.format,
-    )
+        report.add("mean_estimate", stats.mean_estimate, "Monte Carlo")
+        report.add("std_estimate", stats.std_estimate, "Monte Carlo (ddof=1)")
+        report.add("predicted_std", stats.predicted_std, "sqrt(p(1-p))/(nu sqrt(N))")
+        report.add("std_bound", stats.std_bound, "1/(2 nu sqrt(N))")
+    report.add("rng", stats.rng, "generator id")
+    _emit(report, args.format)
     return EXIT_OK
 
 
@@ -582,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--lam", type=float, default=0.0,
                    help="fixed eigenvalue for delta sweeps")
-    add_common(p)
+    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("single-copy", help="one-test feasibility")

@@ -123,7 +123,7 @@ def min_tests_adv_doubling(s, t, boundary_fn=boundary_full):
     target = t.delta * (1.0 - t.epsilon)
 
     def feasible(n):
-        return boundary_fn(n, s).zeta(t.delta) >= target - adv.FEASIBLE_TOL
+        return boundary_fn(n, s).zeta(t.delta) >= target
 
     lo, hi = 1, 1
     while not feasible(hi):

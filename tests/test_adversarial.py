@@ -433,6 +433,17 @@ def test_min_tests_two_level_search_slack_case(values):
     assert_certified_two_level(2634, hedged.beta, t)
 
 
+def test_min_tests_hull_near_tie_is_exact():
+    # epsilon puts the target 5e-13 above zeta at N = 59: a search that
+    # accepted zeta >= target - 1e-12 returned 59.
+    s = spectrum.from_eigenvalues([1.0, 0.6, 0.2])
+    t = PrecisionTarget(0.06353591160054328, 0.3)
+    target = t.delta * (1.0 - t.epsilon)
+    assert zeta_two_point_lp(59, t.delta, s.distinct) < target
+    assert zeta_two_point_lp(60, t.delta, s.distinct) >= target
+    assert adv.min_tests_adv(s, t) == 60
+
+
 def test_min_tests_two_level_certified_on_closed_form():
     rng = random.Random(2634)
     for i in range(200):

@@ -305,6 +305,23 @@ def test_sweep_bad_input_writes_nothing(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sweep_rejects_formats_other_than_csv(capsys, fmt):
+    # sweep writes CSV only, so any other --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--param", "nu", "--range", "0.1:1.0:4", "--format", fmt])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_writes_csv_by_default(capsys):
+    argv = ["sweep", "--param", "nu", "--range", "0.1:1.0:4"]
+    _, default, _ = run(capsys, argv)
+    _, explicit, _ = run(capsys, [*argv, "--format", "csv"])
+    assert default == explicit
+    assert default.startswith("nu,p_star:balance-root,")
+
+
 def test_plan_bad_hedge_flag(capsys, monkeypatch):
     code, _, err = run(
         capsys,
@@ -461,3 +478,315 @@ def test_simulate_deterministic_across_invocations(capsys):
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert (code1, out1) == (code2, out2)
+
+
+# Exact stdout of text and CSV reports: labels, key order and warning lines.
+# The JSON tests above parse their output and do not pin these.
+REPORTS = [
+    pytest.param(
+        ["analyze", "--N", "5", "--epsilon", "0.01", "--delta", "0.01", "--format", "text"],
+        '{"eigenvalues": [1, 0.5, 0.1]}',
+        0,
+        [
+            "beta = 0.5  [second largest distinct eigenvalue]",
+            "tau = 0.1  [smallest eigenvalue]",
+            "nu = 0.5  [spectral gap 1 - beta]",
+            "distinct = [1, 0.5, 0.1]  [deduped eigenvalues]",
+            "h = 4.34294  [overhead prefactor 1/min(x ln(1/x)) over extremes]",
+            "beta_tilde = 0.1  [eigenvalue attaining the prefactor]",
+            "delta_c = 0.03125  [critical pass level (zero joint weight)]",
+            "max_pass_prob = 0.995  [1 - nu*eps]",
+            "n_tests_honest = 919  [honest-exact count]",
+            "single_test_honest = False  [nu*eps + delta >= 1]",
+        ],
+        id="analyze-positive-definite-text",
+    ),
+    pytest.param(
+        ["analyze", "--N", "5", "--epsilon", "0.01", "--delta", "0.01", "--format", "csv"],
+        '{"eigenvalues": [1, 0.5, 0.1]}',
+        0,
+        [
+            "key,value,provenance",
+            "beta,0.5,second largest distinct eigenvalue",
+            "tau,0.1,smallest eigenvalue",
+            "nu,0.5,spectral gap 1 - beta",
+            'distinct,"[1.0, 0.5, 0.1]",deduped eigenvalues',
+            "h,4.34294481903,overhead prefactor 1/min(x ln(1/x)) over extremes",
+            "beta_tilde,0.1,eigenvalue attaining the prefactor",
+            "delta_c,0.03125,critical pass level (zero joint weight)",
+            "max_pass_prob,0.995,1 - nu*eps",
+            "n_tests_honest,919,honest-exact count",
+            "single_test_honest,False,nu*eps + delta >= 1",
+        ],
+        id="analyze-positive-definite-csv",
+    ),
+    pytest.param(
+        ["analyze", "--epsilon", "0.1", "--delta", "0.2", "--N", "2", "--format", "text"],
+        '{"eigenvalues": [1, 0.5, 0]}',
+        0,
+        [
+            "beta = 0.5  [second largest distinct eigenvalue]",
+            "tau = 0  [smallest eigenvalue]",
+            "nu = 0.5  [spectral gap 1 - beta]",
+            "distinct = [1, 0.5, 0]  [deduped eigenvalues]",
+            "delta_c = 0.333333  [critical pass level (zero joint weight)]",
+            "max_pass_prob = 0.95  [1 - nu*eps]",
+            "n_tests_honest = 32  [honest-exact count]",
+            "single_test_honest = False  [nu*eps + delta >= 1]",
+            "warning: singular strategy (tau = 0): prefactor h undefined",
+        ],
+        id="analyze-singular-text",
+    ),
+    pytest.param(
+        ["analyze", "--epsilon", "0.1", "--delta", "0.2", "--N", "2", "--format", "csv"],
+        '{"eigenvalues": [1, 0.5, 0]}',
+        0,
+        [
+            "key,value,provenance",
+            "beta,0.5,second largest distinct eigenvalue",
+            "tau,0.0,smallest eigenvalue",
+            "nu,0.5,spectral gap 1 - beta",
+            'distinct,"[1.0, 0.5, 0.0]",deduped eigenvalues',
+            "delta_c,0.333333333333,critical pass level (zero joint weight)",
+            "max_pass_prob,0.95,1 - nu*eps",
+            "n_tests_honest,32,honest-exact count",
+            "single_test_honest,False,nu*eps + delta >= 1",
+            "warning,singular strategy (tau = 0): prefactor h undefined,",
+        ],
+        id="analyze-singular-csv",
+    ),
+    pytest.param(
+        ["plan", "--epsilon", "0.05", "--delta", "0.05", "--adversarial", "--hedge", "auto", "--format", "text"],
+        '{"eigenvalues": [1, 0.5, 0.1]}',
+        0,
+        [
+            "n_tests_honest = 119  [honest-exact count]",
+            "hedge_p = 0.11738  [balance-optimal trivial-test probability]",
+            "n_upper_universal = 862  [universal count bound]",
+            "n_lower_prefactor = 176  [two-level lower bound]",
+            "n_upper_prefactor = 183  [prefactor upper bound]",
+            "n_upper_hedged = 188  [hedged planning bound]",
+            "n_tests_adversarial = 180  [hull-exact count]",
+        ],
+        id="plan-hedge-auto-text",
+    ),
+    pytest.param(
+        ["plan", "--epsilon", "0.05", "--delta", "0.05", "--adversarial", "--hedge", "auto", "--format", "csv"],
+        '{"eigenvalues": [1, 0.5, 0.1]}',
+        0,
+        [
+            "key,value,provenance",
+            "n_tests_honest,119,honest-exact count",
+            "hedge_p,0.117380099627,balance-optimal trivial-test probability",
+            "n_upper_universal,862,universal count bound",
+            "n_lower_prefactor,176,two-level lower bound",
+            "n_upper_prefactor,183,prefactor upper bound",
+            "n_upper_hedged,188,hedged planning bound",
+            "n_tests_adversarial,180,hull-exact count",
+        ],
+        id="plan-hedge-auto-csv",
+    ),
+    pytest.param(
+        ["plan", "--epsilon", "0.05", "--delta", "0.05", "--adversarial", "--hedge", "none", "--format", "text"],
+        '{"eigenvalues": [1, 0.5, 0]}',
+        0,
+        [
+            "n_tests_honest = 119  [honest-exact count]",
+            "hedge_p = 0  [no hedging requested]",
+            "n_upper_universal = 760  [universal count bound]",
+            "n_exact_singular = 399  [singular large-gap exact count]",
+            "n_tests_adversarial = 399  [hull-exact count]",
+            "warning: strategy is singular: the count scales like 1/delta, not ln(1/delta); consider hedging",
+        ],
+        id="plan-hedge-none-singular-text",
+    ),
+    pytest.param(
+        ["plan", "--epsilon", "0.05", "--delta", "0.05", "--adversarial", "--hedge", "none", "--format", "csv"],
+        '{"eigenvalues": [1, 0.5, 0]}',
+        0,
+        [
+            "key,value,provenance",
+            "n_tests_honest,119,honest-exact count",
+            "hedge_p,0.0,no hedging requested",
+            "n_upper_universal,760,universal count bound",
+            "n_exact_singular,399,singular large-gap exact count",
+            "n_tests_adversarial,399,hull-exact count",
+            'warning,"strategy is singular: the count scales like 1/delta, not ln(1/delta); consider hedging",',
+        ],
+        id="plan-hedge-none-singular-csv",
+    ),
+    pytest.param(
+        ["plan", "--epsilon", "0.01", "--delta", "0.01", "--adversarial", "--cap", "1000", "--format", "text"],
+        '{"eigenvalues": [1, 0.6, 0.4, 0.2]}',
+        0,
+        [
+            "n_tests_honest = 1149  [honest-exact count]",
+            "hedge_p = 0  [balance-optimal trivial-test probability]",
+            "n_upper_universal = 24750  [universal count bound]",
+            "n_lower_prefactor = 1494  [two-level lower bound]",
+            "n_upper_prefactor = 1499  [prefactor upper bound]",
+            "n_upper_hedged = 1506  [hedged planning bound]",
+            "warning: exact count skipped: search up to N=1499 needs 1127251 label multisets on {1, beta, tau} (cap 1000); bounds reported instead",
+        ],
+        id="plan-capped-text",
+    ),
+    pytest.param(
+        ["plan", "--epsilon", "0.01", "--delta", "0.01", "--adversarial", "--cap", "1000", "--format", "csv"],
+        '{"eigenvalues": [1, 0.6, 0.4, 0.2]}',
+        0,
+        [
+            "key,value,provenance",
+            "n_tests_honest,1149,honest-exact count",
+            "hedge_p,0.0,balance-optimal trivial-test probability",
+            "n_upper_universal,24750,universal count bound",
+            "n_lower_prefactor,1494,two-level lower bound",
+            "n_upper_prefactor,1499,prefactor upper bound",
+            "n_upper_hedged,1506,hedged planning bound",
+            'warning,"exact count skipped: search up to N=1499 needs 1127251 label multisets on {1, beta, tau} (cap 1000); bounds reported instead",',
+        ],
+        id="plan-capped-csv",
+    ),
+    pytest.param(
+        ["plan", "--epsilon", "0.01", "--delta", "0.001", "--adversarial", "--format", "text"],
+        '{"protocol": {"family": "StabilizerQudit", "d": 3, "n": 2}}',
+        0,
+        [
+            "family = StabilizerQudit  [protocol catalog]",
+            "nu = 0.75  [catalog spectral gap]",
+            "settings = 4  [catalog measurement settings]",
+            "n_tests_honest = 918  [honest-exact count]",
+            "n_tests_adversarial = 1855  [two-level-exact]",
+            "hedge_p = 0.157173  [trivial-test probability]",
+            "lambda_effective = 0.367879  [hedged common eigenvalue]",
+        ],
+        id="plan-protocol-text",
+    ),
+    pytest.param(
+        ["plan", "--epsilon", "0.01", "--delta", "0.001", "--adversarial", "--format", "csv"],
+        '{"protocol": {"family": "StabilizerQudit", "d": 3, "n": 2}}',
+        0,
+        [
+            "key,value,provenance",
+            "family,StabilizerQudit,protocol catalog",
+            "nu,0.75,catalog spectral gap",
+            "settings,4,catalog measurement settings",
+            "n_tests_honest,918,honest-exact count",
+            "n_tests_adversarial,1855,two-level-exact",
+            "hedge_p,0.157172588229,trivial-test probability",
+            "lambda_effective,0.367879441171,hedged common eigenvalue",
+        ],
+        id="plan-protocol-csv",
+    ),
+    pytest.param(
+        ["single-copy", "--epsilon", "0.5", "--delta", "0.3", "--format", "text"],
+        None,
+        2,
+        [
+            "feasible = False  [single-test feasibility threshold]",
+            "delta_threshold = 0.666667  [min(4(1-eps)/(2-eps)^2, 1/(1+eps))]",
+            "best_joint_weight = 0.0266799  [best single-test joint weight]",
+            "optimal_lambdas = [0.16334]  [optimizing two-level eigenvalues]",
+            "lambda_window = None  [no feasible two-level eigenvalue]",
+        ],
+        id="single-copy-infeasible-text",
+    ),
+    pytest.param(
+        ["single-copy", "--epsilon", "0.5", "--delta", "0.3", "--format", "csv"],
+        None,
+        2,
+        [
+            "key,value,provenance",
+            "feasible,False,single-test feasibility threshold",
+            'delta_threshold,0.666666666667,"min(4(1-eps)/(2-eps)^2, 1/(1+eps))"',
+            "best_joint_weight,0.0266799469318,best single-test joint weight",
+            "optimal_lambdas,[0.163339973466],optimizing two-level eigenvalues",
+            "lambda_window,,no feasible two-level eigenvalue",
+        ],
+        id="single-copy-infeasible-csv",
+    ),
+    pytest.param(
+        ["single-copy", "--epsilon", "0.8", "--delta", "0.556", "--format", "text"],
+        None,
+        0,
+        [
+            "feasible = True  [single-test feasibility threshold]",
+            "delta_threshold = 0.555556  [min(4(1-eps)/(2-eps)^2, 1/(1+eps))]",
+            "best_joint_weight = 0.112  [best single-test joint weight]",
+            "optimal_lambdas = [0]  [optimizing two-level eigenvalues]",
+        ],
+        id="single-copy-threshold-text",
+    ),
+    pytest.param(
+        ["single-copy", "--epsilon", "0.8", "--delta", "0.556", "--format", "csv"],
+        None,
+        0,
+        [
+            "key,value,provenance",
+            "feasible,True,single-test feasibility threshold",
+            'delta_threshold,0.555555555556,"min(4(1-eps)/(2-eps)^2, 1/(1+eps))"',
+            "best_joint_weight,0.112,best single-test joint weight",
+            "optimal_lambdas,[0.0],optimizing two-level eigenvalues",
+        ],
+        id="single-copy-threshold-csv",
+    ),
+    pytest.param(
+        ["single-copy", "--epsilon", "0.9", "--delta", "0.45", "--beta", "0.3", "--tau", "0.2", "--format", "text"],
+        None,
+        0,
+        [
+            "feasible = True  [single-test piecewise formula vs target]",
+            "joint_weight = 0.05  [single-test piecewise formula]",
+            "required_joint_weight = 0.045  [delta*(1-eps)]",
+            "feasible_criterion = True  [extreme-eigenvalue criterion]",
+        ],
+        id="single-copy-strategy-text",
+    ),
+    pytest.param(
+        ["single-copy", "--epsilon", "0.9", "--delta", "0.45", "--beta", "0.3", "--tau", "0.2", "--format", "csv"],
+        None,
+        0,
+        [
+            "key,value,provenance",
+            "feasible,True,single-test piecewise formula vs target",
+            "joint_weight,0.05,single-test piecewise formula",
+            "required_joint_weight,0.045,delta*(1-eps)",
+            "feasible_criterion,True,extreme-eigenvalue criterion",
+        ],
+        id="single-copy-strategy-csv",
+    ),
+    pytest.param(
+        ["simulate", "estimator", "--lam", "0.5", "--fidelity", "0.5", "--n-tests", "100", "--trials", "2000", "--seed", "2", "--format", "text"],
+        None,
+        0,
+        [
+            "mean_estimate = 0.49983  [Monte Carlo]",
+            "std_estimate = 0.0870285  [Monte Carlo (ddof=1)]",
+            "predicted_std = 0.0866025  [sqrt(p(1-p))/(nu sqrt(N))]",
+            "std_bound = 0.1  [1/(2 nu sqrt(N))]",
+            "rng = philox4x64 (numpy)  [generator id]",
+        ],
+        id="simulate-estimator-text",
+    ),
+    pytest.param(
+        ["simulate", "estimator", "--lam", "0.5", "--fidelity", "0.5", "--n-tests", "100", "--trials", "2000", "--seed", "2", "--format", "csv"],
+        None,
+        0,
+        [
+            "key,value,provenance",
+            "mean_estimate,0.49983,Monte Carlo",
+            "std_estimate,0.0870284900423,Monte Carlo (ddof=1)",
+            "predicted_std,0.0866025403784,sqrt(p(1-p))/(nu sqrt(N))",
+            "std_bound,0.1,1/(2 nu sqrt(N))",
+            "rng,philox4x64 (numpy),generator id",
+        ],
+        id="simulate-estimator-csv",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, lines", REPORTS)
+def test_text_and_csv_reports_are_pinned(capsys, monkeypatch, argv, stdin, code, lines):
+    newline = "\r\n" if argv[-1] == "csv" else "\n"
+    got, out, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert got == code
+    assert out == newline.join(lines) + newline
