@@ -10,7 +10,6 @@ and a catalog of concrete state families.
 from .adversarial import (
     Boundary,
     boundary,
-    compositions,
     delta_c,
     eta,
     fidelity_adv,
@@ -97,7 +96,6 @@ __all__ = [
     "StateModel",
     "asymptotics",
     "boundary",
-    "compositions",
     "delta_c",
     "delta_star",
     "describe",

@@ -33,9 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import tests_bounds_general, tests_bounds_nonsingular
 from .errors import DivByZeroGuard, InvalidParams, NumericalRange, OutOfRange, SizeLimit
@@ -43,9 +41,13 @@ from .homogeneous import MAX_LAM, min_tests_homo
 from .nonadversarial import PrecisionTarget
 from .spectrum import Spectrum
 
+# numpy is imported where arrays are built, so closed-form paths never load it
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Default cap on the label multisets enumerated exactly: C(N+3, 2) for one
-#: hull (multisets on {1, beta, tau}), C(N+d, d-1) for :func:`compositions`.
-#: Counts planned in closed form by :func:`min_tests_adv` enumerate none.
+#: hull (multisets on {1, beta, tau}).  Counts planned in closed form by
+#: :func:`min_tests_adv` enumerate none.
 DEFAULT_CAP = 10**7
 
 #: Cross products below this are treated as collinear and the midpoint dropped.
@@ -68,21 +70,13 @@ def _check_size(n: int, d: int, cap: int) -> None:
         raise SizeLimit(f"{total} label multisets exceed the cap {cap}")
 
 
-def compositions(n: int, d: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
-    """Yield every composition of n+1 into d parts, ascending lexicographic."""
-    _check_size(n, d, cap)
-    kmat = _composition_matrix(n + 1, d)
-    # convert a slice at a time so no second full-size copy is held
-    for start in range(0, len(kmat), 4096):
-        yield from map(tuple, kmat[start:start + 4096].tolist())
-
-
 def _composition_matrix(total: int, parts: int) -> np.ndarray:
     """All compositions of ``total`` into ``parts`` parts as an int array (lex order).
 
     Built column by column in place: a prefix row with remainder r expands
     into r+1 rows whose next entry runs 0..r.
     """
+    import numpy as np
     out = np.empty((composition_count(total - 1, parts), parts), dtype=np.int64)
     rem = np.array([total], dtype=np.int64)
     for j in range(parts - 1):
@@ -103,6 +97,7 @@ def _support_matrix(n: int, d: int) -> np.ndarray:
     The middle columns stay zero, so :func:`_points` evaluates each row
     exactly as it would within the full enumeration.
     """
+    import numpy as np
     kmat = _composition_matrix(n + 1, min(d, 3))
     if d <= 3:
         return kmat
@@ -118,6 +113,7 @@ def _points(kmat: np.ndarray, lam: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     short-circuit (a zero factor kills the product unless the convention
     lam^0 = 1 removes it).
     """
+    import numpy as np
     pos = lam > 0.0
     safe = np.where(pos, lam, 1.0)
     logs = np.log(safe)
@@ -141,6 +137,7 @@ def point(k: tuple[int, ...], s: Spectrum) -> tuple[float, float]:
     n = int(sum(k)) - 1
     if n < 1:
         raise OutOfRange("composition must sum to at least 2")
+    import numpy as np
     kmat = np.array([k], dtype=np.int64)
     p, f = _points(kmat, np.array(s.distinct), n)
     return float(p[0]), float(f[0])
@@ -213,6 +210,7 @@ class Boundary:
 def boundary(n: int, s: Spectrum, cap: int = DEFAULT_CAP) -> Boundary:
     """Build the lower hull from the label multisets on {1, beta, tau}."""
     _check_size(n, min(s.d, 3), cap)
+    import numpy as np
     p, f = _points(_support_matrix(n, s.d), np.array(s.distinct), n)
     dc = delta_c(n, s)
     # Points at p <= delta_c sort before every hull candidate, and the Pareto

@@ -308,7 +308,7 @@ def cmd_single_copy(args) -> int:
         tau = args.tau if args.tau is not None else args.beta
         joint = single_copy.zeta_one_general(t.delta, args.beta, tau)
         required = t.delta * (1.0 - t.epsilon)
-        feasible = joint >= required - 1e-12
+        feasible = joint >= required
         report.add("feasible", feasible, "single-test piecewise formula vs target")
         report.add("joint_weight", joint, "single-test piecewise formula")
         report.add("required_joint_weight", required, "delta*(1-eps)")

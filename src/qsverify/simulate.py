@@ -9,13 +9,14 @@ counter-based generator so results are reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .adversarial import point
 from .errors import InvalidParams, OutOfRange
 from .spectrum import Spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_ALGORITHM = "philox4x64 (numpy)"
 
@@ -23,6 +24,7 @@ NORM_TOL = 1e-12
 
 
 def _rng(seed: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -86,6 +88,7 @@ def run_iid(
         raise InvalidParams("weights must match the distinct eigenvalue slots")
     if n_tests < 1 or trials < 1:
         raise OutOfRange("n_tests and trials must be >= 1")
+    import numpy as np
     lam = np.array(s.distinct)
     w = np.array(m.weights)
     gen = _rng(seed)
@@ -123,6 +126,7 @@ def run_block(
     b.validate_for(s, n)
     if trials < 1:
         raise OutOfRange("trials must be >= 1")
+    import numpy as np
     lam = np.array(s.distinct)
     ks = list(b.mixture)
     probs = np.array([b.mixture[k] for k in ks])
@@ -183,6 +187,7 @@ def run_estimator(
         raise OutOfRange(f"fidelity {fidelity!r} outside [0, 1]")
     if n_tests < 1 or trials < 2:
         raise OutOfRange("need n_tests >= 1 and trials >= 2")
+    import numpy as np
     nu = 1.0 - lam
     p = nu * fidelity + lam
     gen = _rng(seed)

@@ -132,6 +132,4 @@ def single_copy_feasible_strategy(beta: float, tau: float, t: PrecisionTarget) -
         raise OutOfRange("the criterion is stated for delta <= 1/2")
     if beta <= 0.0 or beta >= t.delta:
         return False
-    return tau * (t.delta - beta) / (1.0 + tau - 2.0 * beta) >= t.delta * (
-        1.0 - t.epsilon
-    ) - 1e-12
+    return tau * (t.delta - beta) / (1.0 + tau - 2.0 * beta) >= t.delta * (1.0 - t.epsilon)

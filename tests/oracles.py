@@ -3,9 +3,11 @@
 These deliberately avoid the production code paths: points are evaluated by
 naive term-by-term products, the minimum joint weight by exhaustive
 enumeration of two-point mixtures, and minimum counts by linear scan.  The
-one exception is :func:`boundary_full`, which reuses the production point
+exceptions are :func:`boundary_full`, which reuses the production point
 arithmetic on purpose so that it differs from ``adversarial.boundary`` only
-in the multisets it enumerates.
+in the multisets it enumerates, and :func:`compositions`, a tuple view of
+the production enumerator that tests iterate over (its rows are checked
+against :func:`compositions_brute`).
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ def compositions_brute(total: int, parts: int):
             prev = c
         out.append(total + parts - 2 - prev)
         yield tuple(out)
+
+
+def compositions(n, d, cap=adv.DEFAULT_CAP):
+    """Yield every composition of n+1 into d parts, ascending lexicographic."""
+    adv._check_size(n, d, cap)
+    kmat = adv._composition_matrix(n + 1, d)
+    # convert a slice at a time so no second full-size copy is held
+    for start in range(0, len(kmat), 4096):
+        yield from map(tuple, kmat[start:start + 4096].tolist())
 
 
 def point_brute(k, lams):
@@ -78,10 +89,10 @@ def zeta_two_point_lp(n, delta, lams):
 
 
 def min_tests_adv_scan(lams, epsilon, delta, n_max=100000):
-    """Least N with zeta(N, delta) >= delta*(1-eps), by linear scan."""
+    """Least N with zeta(N, delta) >= delta*(1-eps), by linear scan, no slack."""
     target = delta * (1.0 - epsilon)
     for n in range(1, n_max + 1):
-        if zeta_two_point_lp(n, delta, lams) >= target - 1e-12:
+        if zeta_two_point_lp(n, delta, lams) >= target:
             return n
     raise AssertionError("scan exhausted")
 

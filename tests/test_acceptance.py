@@ -22,7 +22,7 @@ from qsverify import (
 )
 from qsverify.homogeneous import HomoContext
 from qsverify.nonadversarial import PrecisionTarget
-from oracles import min_tests_adv_doubling
+from oracles import compositions, min_tests_adv_doubling
 
 
 def criterion(cid, name):
@@ -304,7 +304,7 @@ def test_c11_structural_invariants():
         n = rng.randint(1, 5)
         lo = n * s.nu / (n * s.nu + 1)
         hi = 1.0 - s.tau**n
-        for k in adv.compositions(n, s.d):
+        for k in compositions(n, s.d):
             if k[0] == n + 1:
                 continue
             p, f = adv.point(k, s)
@@ -320,7 +320,7 @@ def test_c12_monte_carlo():
     for model_idx in range(20):
         s = rand_spectrum(rng, d_max=3)
         n = rng.randint(1, 4)
-        ks = list(adv.compositions(n, s.d))
+        ks = list(compositions(n, s.d))
         support = rng.sample(ks, min(len(ks), rng.randint(1, 4)))
         raw = [rng.uniform(0.1, 1.0) for _ in support]
         total = sum(raw)

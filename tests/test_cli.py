@@ -425,6 +425,20 @@ def test_single_copy_strategy_verdict(capsys):
     assert code == 0 if doc["results"]["feasible"] else 2
 
 
+def test_single_copy_strategy_verdict_is_exact(capsys):
+    # joint weight 0.05 sits 5e-13 below the target 0.0500000000005
+    code, out, _ = run(
+        capsys,
+        ["single-copy", "--epsilon", "0.8888888888877777", "--delta", "0.45",
+         "--beta", "0.3", "--tau", "0.2", "--format", "json"],
+    )
+    results = json.loads(out)["results"]
+    assert results["joint_weight"] < results["required_joint_weight"]
+    assert results["feasible"] is False
+    assert results["feasible_criterion"] is False
+    assert code == cli.EXIT_INFEASIBLE
+
+
 def test_table1_csv_and_json(capsys):
     code, out, _ = run(capsys, ["table1", "--epsilon", "0.01", "--delta", "0.01"])
     assert code == 0
