@@ -91,19 +91,9 @@ def _composition_matrix(total: int, parts: int) -> np.ndarray:
     return out
 
 
-def _support_matrix(n: int, d: int) -> np.ndarray:
-    """Multisets of n+1 labels on {1, beta, tau}, as rows over all d labels.
-
-    The middle columns stay zero, so :func:`_points` evaluates each row
-    exactly as it would within the full enumeration.
-    """
-    import numpy as np
-    kmat = _composition_matrix(n + 1, min(d, 3))
-    if d <= 3:
-        return kmat
-    full = np.zeros((len(kmat), d), dtype=np.int64)
-    full[:, [0, 1, d - 1]] = kmat
-    return full
+def _labels(s: Spectrum) -> tuple[float, ...]:
+    """The labels the hull is built on: (1, beta, tau), or (1, beta) when d = 2."""
+    return s.distinct[:2] + s.distinct[2:][-1:]
 
 
 def _points(kmat: np.ndarray, lam: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,16 +101,22 @@ def _points(kmat: np.ndarray, lam: np.ndarray, n: int) -> tuple[np.ndarray, np.n
 
     Positive factors are multiplied in the log domain; zero eigenvalues
     short-circuit (a zero factor kills the product unless the convention
-    lam^0 = 1 removes it).
+    lam^0 = 1 removes it).  The sums run column by column in column order,
+    so a zero column adds an exact zero and a row rounds the same whatever
+    zero columns it carries: a multiset on {1, beta, tau} gets the same bits
+    from its three columns as from its row in the full d-column enumeration.
     """
     import numpy as np
     pos = lam > 0.0
     safe = np.where(pos, lam, 1.0)
     logs = np.log(safe)
-    log_prod = np.where(kmat != 0, kmat * logs[None, :], 0.0)[:, pos].sum(axis=1)
+    inv = np.where(pos, 1.0 / safe, 0.0)
+    log_prod = inv_sum = 0.0
+    for j in range(kmat.shape[1]):
+        log_prod = log_prod + kmat[:, j] * logs[j]
+        inv_sum = inv_sum + kmat[:, j] * inv[j]
     zero_weight = kmat[:, ~pos].sum(axis=1)
     scale = np.exp(log_prod) / (n + 1)
-    inv_sum = kmat @ np.where(pos, 1.0 / safe, 0.0)
     f = np.where(zero_weight == 0, kmat[:, 0] * scale, 0.0)
     p = np.where(
         zero_weight == 0, inv_sum * scale, np.where(zero_weight == 1, scale, 0.0)
@@ -209,9 +205,10 @@ class Boundary:
 
 def boundary(n: int, s: Spectrum, cap: int = DEFAULT_CAP) -> Boundary:
     """Build the lower hull from the label multisets on {1, beta, tau}."""
-    _check_size(n, min(s.d, 3), cap)
+    labels = _labels(s)
+    _check_size(n, len(labels), cap)
     import numpy as np
-    p, f = _points(_support_matrix(n, s.d), np.array(s.distinct), n)
+    p, f = _points(_composition_matrix(n + 1, len(labels)), np.array(labels), n)
     dc = delta_c(n, s)
     # Points at p <= delta_c sort before every hull candidate, and the Pareto
     # test below reads only the points after each one, so drop them first.
@@ -295,7 +292,7 @@ def min_tests_adv(s: Spectrum, t: PrecisionTarget, cap: int = DEFAULT_CAP) -> in
     else:
         lb = gb.singular_lower
     ub = min(u for u in uppers if u is not None)
-    rows = composition_count(ub, min(s.d, 3))
+    rows = composition_count(ub, len(_labels(s)))
     if rows > cap:
         raise SizeLimit(
             f"search up to N={ub} needs {rows} label multisets on "

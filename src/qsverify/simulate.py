@@ -148,8 +148,9 @@ def run_block(
 
     p_hat = pass_total / trials
     f_hat = joint_total / trials
-    p_exp = sum(b.mixture[k] * point(k, s)[0] for k in ks)
-    f_exp = sum(b.mixture[k] * point(k, s)[1] for k in ks)
+    points = [point(k, s) for k in ks]
+    p_exp = sum(b.mixture[k] * pk for k, (pk, _) in zip(ks, points))
+    f_exp = sum(b.mixture[k] * fk for k, (_, fk) in zip(ks, points))
     return BlockStats(
         p_hat=p_hat,
         f_hat=f_hat,

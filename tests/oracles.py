@@ -101,7 +101,11 @@ def boundary_full(n, s):
     """Lower hull from all C(N+d, d-1) label multisets, with no reduction.
 
     The hull as built before the enumeration was restricted to the labels
-    {1, beta, tau}: same points, Pareto prefilter and monotone chain.
+    {1, beta, tau}: same points, Pareto prefilter and monotone chain.  Its
+    rows have d columns where ``adversarial.boundary`` evaluates three, but
+    ``_points`` sums column by column and a zero middle column adds an exact
+    zero, so a multiset on {1, beta, tau} gets the same bits in both and the
+    two hulls can be compared with ``==``.
     """
     kmat = adv._composition_matrix(n + 1, s.d)
     p, f = adv._points(kmat, np.array(s.distinct), n)

@@ -184,17 +184,28 @@ def test_boundary_three_eigenvalue_small_gap_shapes():
     assert b.vertices[1] == pytest.approx(((1 + 0.7) / 2, 0.7 / 2), rel=1e-12)
 
 
-def test_support_matrix_spans_beta_and_tau_only():
-    for d in (2, 3, 4, 7):
-        kmat = adv._support_matrix(5, d)
-        assert kmat.dtype == np.int64
-        assert kmat.shape == (adv.composition_count(5, min(d, 3)), d)
-        assert (kmat.sum(axis=1) == 6).all()
-        assert not kmat[:, 2:d - 1].any()
+def test_points_ignore_zero_padding():
+    # A row on {1, beta, tau} must round the same inside the full d-column
+    # enumeration as on its three columns, with tau = 0 and d >= 10 included.
+    rng = random.Random(77)
+    n = 300
+    kmat = adv._composition_matrix(n + 1, 3)
+    for d in range(4, 13):
+        for singular in (False, True):
+            vals = sorted((rng.uniform(0.02, 0.97) for _ in range(d - 1)), reverse=True)
+            if singular:
+                vals[-1] = 0.0
+            lam = np.array([1.0, *vals])
+            padded = np.zeros((len(kmat), d), dtype=np.int64)
+            padded[:, [0, 1, d - 1]] = kmat
+            p3, f3 = adv._points(kmat, lam[[0, 1, d - 1]], n)
+            pd, fd = adv._points(padded, lam, n)
+            assert p3.tobytes() == pd.tobytes()
+            assert f3.tobytes() == fd.tobytes()
 
 
 def test_boundary_matches_full_enumeration():
-    # Multisets on {1, beta, tau} span the hull of all multisets.  Vertices
+    # Multisets on {1, beta, tau} span the hull of all multisets, d = 4..12.  Vertices
     # may differ only where COLLINEAR_TOL picks among near-collinear points.
     # (22, [1, .24, .18, .15]) is such a case: its vertex lists differ below p = 3e-6.
     cases = [(22, [1.0, 0.24, 0.18, 0.15])]
@@ -205,6 +216,13 @@ def test_boundary_matches_full_enumeration():
         if rng.random() < 0.3:
             vals[-1] = 0.0
         cases.append((rng.randint(1, 20 if d <= 5 else 10), [1.0, *vals]))
+    for _ in range(150):
+        # wider spectra, at N small enough to enumerate every multiset
+        d = rng.randint(8, 12)
+        vals = sorted((rng.uniform(0.02, 0.97) for _ in range(d - 1)), reverse=True)
+        if rng.random() < 0.3:
+            vals[-1] = 0.0
+        cases.append((rng.randint(1, 6 if d <= 9 else 4), [1.0, *vals]))
     grid = np.linspace(1e-3, 1.0, 200).tolist()
     for n, values in cases:
         s = spectrum.from_eigenvalues(values)
