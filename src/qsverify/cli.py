@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -420,7 +421,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process, on the first main() call.  It holds no
+    # handlers: main() looks cmd_* up at call time, so a replaced module
+    # attribute is the one that runs.
     parser = argparse.ArgumentParser(
         prog="qsverify",
         description="Figures of merit and test planning for pure-state verification.",
@@ -436,7 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("plan", help="test counts for a strategy or protocol")
     p.add_argument("--input", default=None)
@@ -451,7 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "bounds are reported instead. Bounds only the hull "
                         "path: closed-form counts ignore it")
     add_common(p)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("sweep", help="CSV sweep of a parameter")
     p.add_argument("--param", choices=["lambda", "delta", "epsilon", "nu"],
@@ -462,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=0.0,
                    help="fixed eigenvalue for delta sweeps")
     p.add_argument("--format", choices=["csv"], default="csv")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("single-copy", help="one-test feasibility")
     p.add_argument("--epsilon", type=float, required=True)
@@ -470,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     add_common(p)
-    p.set_defaults(func=cmd_single_copy)
 
     p = sub.add_parser("table1", help="catalog of state families")
     p.add_argument("--epsilon", type=float, required=True)
@@ -480,7 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, default=3)
     p.add_argument("--n", type=int, default=4)
     add_common(p)
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-checks")
     p.add_argument("game", choices=["iid", "block", "estimator"])
@@ -493,16 +493,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
     add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except NumericalRange as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -107,12 +107,15 @@ def p_star(nu: float, tau: float) -> float:
     lo, hi = 0.0, 1.0 / math.e
     if imbalance(hi) > 0.0:
         raise NumericalRange("no sign change on [0, 1/e] for the balance equation")
+    # A step that leaves (lo, hi) unchanged would leave them so for good.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if imbalance(mid) > 0.0:
-            lo = mid
+            lo, moved = mid, mid != lo
         else:
-            hi = mid
+            hi, moved = mid, mid != hi
+        if not moved:
+            break
     root = 0.5 * (lo + hi)
     # The side condition beta_p >= 1/e is enforced constructively.  For a
     # genuinely separated pair the balance root already satisfies it; when

@@ -229,12 +229,14 @@ def lambda_star_of_eps(epsilon: float) -> float:
         return fid + lam * epsilon + fid * math.log(lam)
 
     lo, hi = fid / math.e, 1.0 / math.e  # g(lo) < 0 < g(hi), g increasing
-    for _ in range(200):
+    for _ in range(200):  # stops early at a fixpoint, as in hedging.p_star
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:
-            lo = mid
+            lo, moved = mid, mid != lo
         else:
-            hi = mid
+            hi, moved = mid, mid != hi
+        if not moved:
+            break
     root = 0.5 * (lo + hi)
     assert abs(g(root)) < 1e-12
     assert fid / math.e - 1e-12 <= root <= 1.0 / math.e + 1e-12

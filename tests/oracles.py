@@ -5,9 +5,11 @@ naive term-by-term products, the minimum joint weight by exhaustive
 enumeration of two-point mixtures, and minimum counts by linear scan.  The
 exceptions are :func:`boundary_full`, which reuses the production point
 arithmetic on purpose so that it differs from ``adversarial.boundary`` only
-in the multisets it enumerates, and :func:`compositions`, a tuple view of
-the production enumerator that tests iterate over (its rows are checked
-against :func:`compositions_brute`).
+in the multisets it enumerates; :func:`compositions`, a tuple view of the
+production enumerator that tests iterate over (its rows are checked against
+:func:`compositions_brute`); and :func:`p_star_200` and
+:func:`lambda_star_of_eps_200`, copies of the production root finders that
+run every one of their 200 bisection steps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import math
 
 import numpy as np
 
-from qsverify import adversarial as adv
+from qsverify import adversarial as adv, hedging
+from qsverify._util import x_ln_inv
+from qsverify.errors import NumericalRange, OutOfRange, VerificationError
 
 
 def compositions_brute(total: int, parts: int):
@@ -166,6 +170,74 @@ def num_tests_na_scan(nu, epsilon, delta, n_max=10**7):
 def zeta_homo_bisect_oracle(n, delta, lam):
     """Minimum joint weight for two-level spectra via the two-point scan."""
     return zeta_two_point_lp(n, delta, (1.0, lam))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the package error or assertion it raised."""
+    try:
+        return fn(*args)
+    except (VerificationError, AssertionError) as exc:
+        return type(exc)
+
+
+def p_star_200(nu, tau):
+    """``hedging.p_star`` with its bisection run for all 200 steps."""
+    hedging._check_nu_tau(nu, tau)
+    beta = 1.0 - nu
+    tau = min(tau, beta)
+    if beta - tau <= 1e-12:
+        if nu <= 1.0 - 1.0 / math.e:
+            return 0.0
+        return (math.e * nu - math.e + 1.0) / (math.e * nu)
+    if x_ln_inv(tau) >= x_ln_inv(beta):
+        return 0.0
+
+    def imbalance(p):
+        return x_ln_inv(beta + p * nu) - x_ln_inv((1.0 - p) * tau + p)
+
+    lo, hi = 0.0, 1.0 / math.e
+    if imbalance(hi) > 0.0:
+        raise NumericalRange("no sign change on [0, 1/e] for the balance equation")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if imbalance(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    p_unit = max(0.0, (1.0 / math.e - beta) / nu)
+    if root < p_unit:
+        if p_unit - root > 1e-5:
+            raise NumericalRange("side condition conflicts with the balance root")
+        root = p_unit
+    assert abs(imbalance(root)) < hedging.BALANCE_TOL
+    return root
+
+
+def lambda_star_of_eps_200(epsilon):
+    """``homogeneous.lambda_star_of_eps`` with its bisection run for all 200 steps."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise OutOfRange(f"epsilon {epsilon!r} outside [0, 1]")
+    if epsilon == 0.0:
+        return 1.0 / math.e
+    if epsilon == 1.0:
+        return 0.0
+    fid = 1.0 - epsilon
+
+    def g(lam):
+        return fid + lam * epsilon + fid * math.log(lam)
+
+    lo, hi = fid / math.e, 1.0 / math.e
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    assert abs(g(root)) < 1e-12
+    assert fid / math.e - 1e-12 <= root <= 1.0 / math.e + 1e-12
+    return root
 
 
 def bisect_root(fn, lo, hi, iters=200):

@@ -322,6 +322,34 @@ def test_sweep_writes_csv_by_default(capsys):
     assert default.startswith("nu,p_star:balance-root,")
 
 
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_replaced_handler_runs_after_an_earlier_call(capsys, monkeypatch):
+    # main() looks its handler up at call time, so a parser cached by an
+    # earlier call does not keep calling the original function.
+    run(capsys, ["analyze"], stdin='{"homogeneous": {"lambda": 0.5}}',
+        monkeypatch=monkeypatch)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.N) or 5)
+    assert cli.main(["analyze", "--N", "3"]) == 5
+    assert seen == [3]
+
+
+def test_usage_error_leaves_the_parser_unchanged(capsys, monkeypatch):
+    argv = ["analyze", "--N", "3", "--epsilon", "0.1", "--delta", "0.1"]
+    stdin = '{"eigenvalues": [1, 0.5, 0.1]}'
+    cli._build_parser.cache_clear()
+    first = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--param", "nu", "--range", "0.1:1.0:4", "--format", "text"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch) == first
+    assert first[0] == 0 and first[1]
+
+
 def test_plan_bad_hedge_flag(capsys, monkeypatch):
     code, _, err = run(
         capsys,

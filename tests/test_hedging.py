@@ -5,7 +5,7 @@ import pytest
 
 from qsverify import adversarial as adv, errors, hedging, spectrum
 from qsverify.nonadversarial import PrecisionTarget, num_tests_na
-from oracles import bisect_root
+from oracles import bisect_root, outcome, p_star_200
 
 
 def test_hedge_map():
@@ -102,6 +102,31 @@ def test_p_star_near_degenerate_extremes():
         assert abs(got - hom) < 1e-4
         got = hedging.p_star(nu, min(beta + sep, 1.0 - nu + 1e-13))
         assert abs(got - hom) < 1e-4
+
+
+def test_p_star_equals_the_full_200_step_bisection():
+    # The bisection stops at its fixpoint; its root must be the 200-step one
+    # bit for bit, and every input that raised must raise the same error.
+    rng = random.Random(2024)
+    cases = [(1.0, 0.0), (0.5, 0.0), (1e-300, 0.0), (0.0, 0.0), (1.5, 0.0),
+             (0.5, -1e-3), (0.5, 0.6)]
+    for _ in range(600):
+        nu = 10.0 ** rng.uniform(-15, -1)  # tiny gap
+        cases.append((nu, rng.uniform(0.0, 1.0 - nu)))
+        nu = rng.uniform(1e-9, 1.0)
+        cases.append((nu, 0.0))  # singular base
+        beta = 1.0 - nu
+        sep = 10.0 ** rng.uniform(-16, -1)
+        cases.append((nu, max(0.0, beta - sep)))  # tau -> beta from below
+        cases.append((nu, beta + rng.uniform(0.0, 1e-12)))  # inside the tolerance
+        cases.append((nu, rng.uniform(0.0, beta)))
+    results = []
+    for nu, tau in cases:
+        got = outcome(hedging.p_star, nu, tau)
+        assert got == outcome(p_star_200, nu, tau), (nu, tau)
+        results.append(got)
+    assert sum(isinstance(r, float) for r in results) > len(cases) // 2
+    assert sum(isinstance(r, float) and r > 0.0 for r in results) > len(cases) // 4
 
 
 def test_p_zero_approximation_quality():

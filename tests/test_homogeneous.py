@@ -9,8 +9,10 @@ from qsverify.homogeneous import HomoContext
 from qsverify.nonadversarial import PrecisionTarget
 from oracles import (
     bisect_root,
+    lambda_star_of_eps_200,
     min_tests_adv_doubling,
     min_tests_adv_scan,
+    outcome,
     zeta_two_point_lp,
 )
 
@@ -260,6 +262,20 @@ def test_lambda_star():
         fid = 1 - eps
         assert fid + lam * eps + fid * math.log(lam) == pytest.approx(0.0, abs=1e-12)
         assert fid / math.e - 1e-12 <= lam <= 1 / math.e + 1e-12
+
+
+def test_lambda_star_equals_the_full_200_step_bisection():
+    # The bisection stops at its fixpoint; its root must be the 200-step one
+    # bit for bit, and every input that raised must raise the same error.
+    rng = random.Random(2025)
+    cases = [0.0, 1.0, -1e-3, 1.5, math.nan, 5e-324, 1.0 - 2.0**-53]
+    for _ in range(800):
+        cases.append(10.0 ** rng.uniform(-17, -1))  # eps near 0
+        cases.append(1.0 - 10.0 ** rng.uniform(-16, -1))  # eps near 1
+        cases.append(rng.uniform(0.0, 1.0))
+    for eps in cases:
+        got = outcome(homo.lambda_star_of_eps, eps)
+        assert got == outcome(lambda_star_of_eps_200, eps), eps
 
 
 def test_normalized_overhead():
